@@ -1,66 +1,25 @@
 """Random faulty scaled sector graphs: simulation, focusing predictions,
-and Poisson-approximation bounds on degree counts."""
+and Poisson-approximation bounds on degree counts.
 
-from .bounds import (
-    ArcIndicator,
-    JointRegionDecomposition,
-    TruncationBudgetExceeded,
-    TVBoundReport,
-    decompose_regions,
-    empirical_tv,
-    empirical_tv_bootstrap_se,
-    expected_count,
-    joint_count_prob,
-    tv_bound,
-)
+The top level re-exports the names that ``demos/`` and ``bench/`` import
+from it; everything else is imported from its module, for example
+``sectorgraphs.geometry.clipped_area``.
+"""
+
+from .bounds import empirical_tv, empirical_tv_bootstrap_se, tv_bound
 from .degree_sets import DegreeSet
-from .geometry import (
-    GridIndex,
-    Point2,
-    Sector,
-    UNIT_DISK_AREA,
-    build_index,
-    clipped_area,
-    neighbors_within,
-    ordered_pairs_within,
-    sector_contains,
-)
-from .harness import (
-    ExperimentReport,
-    ModeAgreementReport,
-    SweepPoint,
-    TrialOptions,
-    TrialRecord,
-    compare,
-    mode_agreement,
-    run_trials,
-    sweep,
-    verify,
-    write_trials_csv,
-)
+from .harness import TrialOptions, compare, run_trials, sweep
 from .model import (
-    DegreeSummary,
-    FaultySectorGraph,
     ModelParams,
     degree_count,
     degree_summary,
-    interior_out_degree_stats,
-    sample_graph,
     sample_trial,
     write_edge_list,
     write_vertex_csv,
 )
-from .randomness import TrialStream, derive_key, mix64, substream
 from .theory import (
-    FocusingPrediction,
-    NoFocusingIndex,
-    RadiusOutOfRange,
-    RegimeReport,
-    TWO_POINT_CONVENTION,
     check_regime,
     focusing_index,
-    mean_degree,
-    mean_degree_value,
     poisson_upper_tail,
     poisson_upper_tail_log,
     predict,
@@ -68,63 +27,25 @@ from .theory import (
 )
 
 __all__ = [
-    "ArcIndicator",
     "DegreeSet",
-    "DegreeSummary",
-    "ExperimentReport",
-    "FaultySectorGraph",
-    "FocusingPrediction",
-    "GridIndex",
-    "JointRegionDecomposition",
-    "ModeAgreementReport",
     "ModelParams",
-    "NoFocusingIndex",
-    "Point2",
-    "RadiusOutOfRange",
-    "RegimeReport",
-    "Sector",
-    "SweepPoint",
     "TrialOptions",
-    "TrialRecord",
-    "TrialStream",
-    "TruncationBudgetExceeded",
-    "TVBoundReport",
-    "TWO_POINT_CONVENTION",
-    "UNIT_DISK_AREA",
-    "build_index",
     "check_regime",
-    "clipped_area",
     "compare",
-    "decompose_regions",
     "degree_count",
     "degree_summary",
-    "derive_key",
     "empirical_tv",
     "empirical_tv_bootstrap_se",
-    "expected_count",
     "focusing_index",
-    "interior_out_degree_stats",
-    "joint_count_prob",
-    "mean_degree",
-    "mean_degree_value",
-    "mix64",
-    "mode_agreement",
-    "neighbors_within",
-    "ordered_pairs_within",
     "poisson_upper_tail",
     "poisson_upper_tail_log",
     "predict",
     "radius_for_mean_degree",
     "run_trials",
-    "sample_graph",
     "sample_trial",
-    "sector_contains",
-    "substream",
     "sweep",
     "tv_bound",
-    "verify",
     "write_edge_list",
-    "write_trials_csv",
     "write_vertex_csv",
 ]
 

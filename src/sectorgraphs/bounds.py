@@ -44,6 +44,10 @@ _DOM_TV = 0xB02
 _DOM_DECOMP = 0xB03
 _DOM_BOOT = 0xB04
 
+# Region pairs per block of ``_decompose_batch`` samples; fixed, so the
+# order of the random draws is too.
+_DECOMP_CHUNK = 128
+
 _SIDES = ("out", "in")
 
 
@@ -125,15 +129,11 @@ def expected_count(
     thin = lam * (1.0 - params.q) * (1.0 - params.v)
     x = rng.random((samples, 2))
     if side == "out":
-        y = TWO_PI * rng.random(samples)
-        areas, _ = clipped_sector_areas(x, y, params.alpha, params.r, area_samples, rng)
-        means = thin * areas
+        angle, elev, lam_eff = params.alpha, TWO_PI * rng.random(samples), thin
     else:
-        areas, _ = clipped_sector_areas(
-            x, np.zeros(samples), TWO_PI, params.r, area_samples, rng
-        )
-        means = thin * (params.alpha / TWO_PI) * areas
-    vals = degree_set.poisson_prob(means)
+        angle, elev, lam_eff = TWO_PI, np.zeros(samples), thin * (params.alpha / TWO_PI)
+    areas, _ = clipped_sector_areas(x, elev, angle, params.r, area_samples, rng)
+    vals = degree_set.poisson_prob(lam_eff * areas)
     pref = (1.0 - params.v) * lam
     return pref * float(np.mean(vals)), pref * float(np.std(vals) / math.sqrt(samples))
 
@@ -153,46 +153,6 @@ def _sector_point_batch(
     return np.stack(
         [apex[:, 0, None] + rad * np.cos(ang), apex[:, 1, None] + rad * np.sin(ang)],
         axis=-1,
-    )
-
-
-def decompose_regions(
-    region1: Sector,
-    region2: Sector,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> JointRegionDecomposition:
-    """Monte Carlo areas of the three disjoint pieces of two equal-radius
-    regions inside the unit square."""
-    if region1.radius != region2.radius:
-        raise ValueError("regions must share one radius")
-    rng = substream(seed, _DOM_DECOMP)
-    a1 = np.array([[region1.apex.x, region1.apex.y]])
-    a2 = np.array([[region2.apex.x, region2.apex.y]])
-    e1 = np.array([region1.elevation])
-    e2 = np.array([region2.elevation])
-
-    p = _sector_point_batch(a1, e1, region1.central_angle, region1.radius, samples, rng)[0]
-    in_q = in_unit_square(p)
-    in_r2 = points_in_sector(a2[0], region2.elevation, region2.central_angle, region2.radius, p)
-    f_common = float(np.mean(in_q & in_r2))
-    f_only1 = float(np.mean(in_q & ~in_r2))
-
-    p2 = _sector_point_batch(a2, e2, region2.central_angle, region2.radius, samples, rng)[0]
-    in_q2 = in_unit_square(p2)
-    in_r1 = points_in_sector(a1[0], region1.elevation, region1.central_angle, region1.radius, p2)
-    f_only2 = float(np.mean(in_q2 & ~in_r1))
-
-    def se(area: float, f: float) -> float:
-        return area * math.sqrt(f * (1.0 - f) / samples)
-
-    return JointRegionDecomposition(
-        area_common=region1.area * f_common,
-        area_only1=region1.area * f_only1,
-        area_only2=region2.area * f_only2,
-        se_common=se(region1.area, f_common),
-        se_only1=se(region1.area, f_only1),
-        se_only2=se(region2.area, f_only2),
     )
 
 
@@ -281,7 +241,6 @@ def _decompose_batch(
     radius: float,
     samples: int,
     rng: np.random.Generator,
-    chunk: int = 128,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise three-piece areas for many region pairs (fresh samples per
     row, so row errors are independent)."""
@@ -290,8 +249,8 @@ def _decompose_batch(
     common = np.zeros(m)
     only1 = np.zeros(m)
     only2 = np.zeros(m)
-    for lo in range(0, m, chunk):
-        sl = slice(lo, min(lo + chunk, m))
+    for lo in range(0, m, _DECOMP_CHUNK):
+        sl = slice(lo, min(lo + _DECOMP_CHUNK, m))
         a1, e1 = apex1[sl], elev1[sl]
         a2, e2 = apex2[sl], elev2[sl]
         p = _sector_point_batch(a1, e1, angle, radius, samples, rng)
@@ -304,6 +263,48 @@ def _decompose_batch(
         in_r1 = points_in_sector(a1[:, None, :], e1[:, None], angle, radius, p)
         only2[sl] = area_full * np.mean(in_q & ~in_r1, axis=1)
     return common, only1, only2
+
+
+def decompose_regions(
+    region1: Sector,
+    region2: Sector,
+    samples: int = 100_000,
+    seed: int = 0,
+) -> JointRegionDecomposition:
+    """One-row ``_decompose_batch``: Monte Carlo areas of the three disjoint
+    pieces of two regions of equal radius and angle inside the unit square."""
+    if region1.radius != region2.radius:
+        raise ValueError("regions must share one radius")
+    if region1.central_angle != region2.central_angle:
+        raise ValueError("regions must share one central angle")
+    angle, radius = region1.central_angle, region1.radius
+    common, only1, only2 = (
+        float(a[0])
+        for a in _decompose_batch(
+            np.array([[region1.apex.x, region1.apex.y]]),
+            np.array([region1.elevation]),
+            np.array([[region2.apex.x, region2.apex.y]]),
+            np.array([region2.elevation]),
+            angle,
+            radius,
+            samples,
+            substream(seed, _DOM_DECOMP),
+        )
+    )
+    # Each piece is ``full`` times a binomial fraction of ``samples`` draws.
+    full = 0.5 * angle * radius * radius
+
+    def se(area: float) -> float:
+        return math.sqrt(area * (full - area) / samples)
+
+    return JointRegionDecomposition(
+        area_common=common,
+        area_only1=only1,
+        area_only2=only2,
+        se_common=se(common),
+        se_only1=se(only1),
+        se_only2=se(only2),
+    )
 
 
 def tv_bound(
@@ -344,26 +345,19 @@ def tv_bound(
     accept = (d2 <= (3.0 * r) ** 2) & in_unit_square(x2)
     acc = np.nonzero(accept)[0]
 
-    # Marginal count probabilities for I1.
+    # Regions counted at each location: the sectors on the out side, the
+    # full disks (orientation-thinned through ``lam_eff``) on the in side.
     if side == "out":
-        areas1, _ = clipped_sector_areas(x1, y1, params.alpha, r, area_samples, rng)
-        means1 = lam_eff * areas1
-        areas2, _ = clipped_sector_areas(
-            x2[acc], y2[acc], params.alpha, r, area_samples, rng
-        )
-        means2_acc = lam_eff * areas2
+        angle, e1, e2 = params.alpha, y1, y2
     else:
-        disk1, _ = clipped_sector_areas(
-            x1, np.zeros(outer_samples), TWO_PI, r, area_samples, rng
-        )
-        means1 = lam_eff * disk1
-        disk2, _ = clipped_sector_areas(
-            x2[acc], np.zeros(acc.size), TWO_PI, r, area_samples, rng
-        )
-        means2_acc = lam_eff * disk2
-    prob1 = degree_set.poisson_prob(means1)
+        angle, e1, e2 = TWO_PI, np.zeros(outer_samples), np.zeros(outer_samples)
+
+    # Marginal count probabilities for I1.
+    areas1, _ = clipped_sector_areas(x1, e1, angle, r, area_samples, rng)
+    areas2, _ = clipped_sector_areas(x2[acc], e2[acc], angle, r, area_samples, rng)
+    prob1 = degree_set.poisson_prob(lam_eff * areas1)
     prob2 = np.zeros(outer_samples)
-    prob2[acc] = degree_set.poisson_prob(means2_acc)
+    prob2[acc] = degree_set.poisson_prob(lam_eff * areas2)
     i1_vals = weight * accept * prob1 * prob2
     i1 = pref * float(np.mean(i1_vals))
     i1_se = pref * float(np.std(i1_vals) / math.sqrt(outer_samples))
@@ -372,15 +366,9 @@ def tv_bound(
     truncation = 0.0
     joint = np.zeros(outer_samples)
     if acc.size:
-        if side == "out":
-            c_area, o1_area, o2_area = _decompose_batch(
-                x1[acc], y1[acc], x2[acc], y2[acc], params.alpha, r, area_samples, rng
-            )
-        else:
-            zeros = np.zeros(acc.size)
-            c_area, o1_area, o2_area = _decompose_batch(
-                x1[acc], zeros, x2[acc], zeros, TWO_PI, r, area_samples, rng
-            )
+        c_area, o1_area, o2_area = _decompose_batch(
+            x1[acc], e1[acc], x2[acc], e2[acc], angle, r, area_samples, rng
+        )
         in_s1 = points_in_sector(x1[acc], y1[acc], params.alpha, r, x2[acc])
         in_s2 = points_in_sector(x2[acc], y2[acc], params.alpha, r, x1[acc])
         if side == "out":

@@ -37,6 +37,7 @@ from .harness import (
     TrialOptions,
     TrialRecord,
     compare,
+    int_hist,
     run_trials,
     sweep as run_sweep,
     verify as run_verify,
@@ -113,19 +114,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
     records = run_trials(params, cfg.trials, cfg.parallelism)
     out = _out_dir(cfg)
     write_trials_csv(records, out / "trials.csv")
-    hist_out: dict[int, int] = {}
-    hist_in: dict[int, int] = {}
-    for rec in records:
-        hist_out[rec.max_out] = hist_out.get(rec.max_out, 0) + 1
-        hist_in[rec.max_in] = hist_in.get(rec.max_in, 0) + 1
     _persist(
         cfg,
         out,
         {
             "params": params,
             "trials": cfg.trials,
-            "max_out_hist": dict(sorted(hist_out.items())),
-            "max_in_hist": dict(sorted(hist_in.items())),
+            "max_out_hist": int_hist([rec.max_out for rec in records]),
+            "max_in_hist": int_hist([rec.max_in for rec in records]),
         },
     )
     print(f"wrote {out / 'trials.csv'} ({cfg.trials} trials)")

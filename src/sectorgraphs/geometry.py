@@ -16,8 +16,9 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Area of the unit disk.
-UNIT_DISK_AREA = math.pi
+# Sectors per block of ``clipped_sector_areas`` samples; fixed, so the
+# order of the random draws is too.
+_AREA_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -65,21 +66,15 @@ class Sector:
 def angle_in_arc(dx, dy, elevation, width):
     """True where the direction of ``(dx, dy)`` lies in ``[elevation, elevation+width) mod 2*pi``.
 
-    Broadcasts over array inputs. ``width == 2*pi`` always passes because the
-    reduced relative angle lives in ``[0, 2*pi)``.
+    Broadcasts over array inputs; ``width`` is a scalar. ``width >= 2*pi``
+    always passes, without evaluating the angle: ``np.mod`` can round a tiny
+    negative relative angle up to exactly ``2*pi``.
     """
+    if width >= TWO_PI:
+        shape = np.broadcast_shapes(np.shape(dx), np.shape(dy), np.shape(elevation))
+        return np.ones(shape, dtype=bool)
     rel = np.mod(np.arctan2(dy, dx) - elevation, TWO_PI)
     return rel < width
-
-
-def sector_contains(s: Sector, p: Point2) -> bool:
-    """Membership test; the apex itself is never contained."""
-    dx = p.x - s.apex.x
-    dy = p.y - s.apex.y
-    d2 = dx * dx + dy * dy
-    if d2 == 0.0 or d2 > s.radius * s.radius:
-        return False
-    return bool(angle_in_arc(dx, dy, s.elevation, s.central_angle))
 
 
 def points_in_sector(
@@ -89,15 +84,22 @@ def points_in_sector(
     radius: float,
     points: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized ``sector_contains`` over the last axis being (x, y).
+    """Sector membership over the last axis being (x, y).
 
-    ``apex_xy`` and ``points`` broadcast against each other; coincident
-    points are excluded like the scalar test.
+    ``apex_xy`` and ``points`` broadcast against each other; a point equal
+    to its apex is excluded.
     """
     delta = np.asarray(points, dtype=float) - np.asarray(apex_xy, dtype=float)
     d2 = delta[..., 0] ** 2 + delta[..., 1] ** 2
     inside = (d2 > 0.0) & (d2 <= radius * radius)
     return inside & angle_in_arc(delta[..., 0], delta[..., 1], elevation, central_angle)
+
+
+def sector_contains(s: Sector, p: Point2) -> bool:
+    """One-point ``points_in_sector``."""
+    return bool(
+        points_in_sector((s.apex.x, s.apex.y), s.elevation, s.central_angle, s.radius, (p.x, p.y))
+    )
 
 
 def in_unit_square(points: np.ndarray) -> np.ndarray:
@@ -107,42 +109,6 @@ def in_unit_square(points: np.ndarray) -> np.ndarray:
     )
 
 
-def _sector_samples(s: Sector, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform points of the sector by area-preserving polar sampling."""
-    u = rng.random(n)
-    w = rng.random(n)
-    rad = s.radius * np.sqrt(u)
-    ang = s.elevation + s.central_angle * w
-    return np.stack(
-        [s.apex.x + rad * np.cos(ang), s.apex.y + rad * np.sin(ang)], axis=-1
-    )
-
-
-def clipped_area(
-    s: Sector, samples: int = 100_000, seed: int = 0
-) -> tuple[float, float]:
-    """Monte Carlo estimate of ``|sector ∩ [0,1]^2|`` with its standard error.
-
-    Uniform samples are drawn inside the sector and rejected against the
-    square, so the estimate is ``sector.area`` times a binomial fraction.
-    Deterministic for a fixed ``seed``. Sectors whose enclosing disk lies
-    inside the square need no sampling and return standard error 0.
-    """
-    r = s.radius
-    if (
-        s.apex.x - r >= 0.0
-        and s.apex.x + r <= 1.0
-        and s.apex.y - r >= 0.0
-        and s.apex.y + r <= 1.0
-    ):
-        return s.area, 0.0
-    rng = np.random.Generator(np.random.PCG64(seed))
-    pts = _sector_samples(s, samples, rng)
-    frac = float(np.mean(in_unit_square(pts)))
-    se = s.area * math.sqrt(frac * (1.0 - frac) / samples)
-    return s.area * frac, se
-
-
 def clipped_sector_areas(
     apex_xy: np.ndarray,
     elevation: np.ndarray,
@@ -150,13 +116,15 @@ def clipped_sector_areas(
     radius: float,
     samples: int,
     rng: np.random.Generator,
-    chunk: int = 512,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched ``clipped_area`` for many sectors sharing angle and radius.
+    """Monte Carlo ``|sector ∩ [0,1]^2|`` for many sectors sharing angle and radius.
 
-    Returns per-sector area estimates and standard errors. Rows whose
-    enclosing disk is interior to the square are exact with zero error;
-    the rest share no samples, so row errors are independent.
+    Each clipped row draws ``samples`` uniform points of its sector by
+    area-preserving polar sampling and rejects them against the square, so
+    its estimate is the sector area times a binomial fraction. Returns
+    per-sector areas and standard errors. Rows whose enclosing disk is
+    interior to the square are exact with zero error; the rest share no
+    samples, so row errors are independent.
     """
     apex = np.asarray(apex_xy, dtype=float)
     elev = np.broadcast_to(np.asarray(elevation, dtype=float), apex.shape[:1]).copy()
@@ -171,8 +139,8 @@ def clipped_sector_areas(
         & (apex[:, 1] <= 1.0 - radius)
     )
     idx = np.nonzero(clipped)[0]
-    for lo in range(0, idx.size, chunk):
-        rows = idx[lo : lo + chunk]
+    for lo in range(0, idx.size, _AREA_CHUNK):
+        rows = idx[lo : lo + _AREA_CHUNK]
         u = rng.random((rows.size, samples))
         w = rng.random((rows.size, samples))
         rad = radius * np.sqrt(u)
@@ -186,6 +154,21 @@ def clipped_sector_areas(
     return areas, ses
 
 
+def clipped_area(
+    s: Sector, samples: int = 100_000, seed: int = 0
+) -> tuple[float, float]:
+    """One-row ``clipped_sector_areas``, deterministic for a fixed ``seed``."""
+    areas, ses = clipped_sector_areas(
+        np.array([[s.apex.x, s.apex.y]]),
+        s.elevation,
+        s.central_angle,
+        s.radius,
+        samples,
+        np.random.Generator(np.random.PCG64(seed)),
+    )
+    return float(areas[0]), float(ses[0])
+
+
 @dataclass
 class GridIndex:
     """Uniform-grid point index; a range query with radius <= cell_size
@@ -197,39 +180,18 @@ class GridIndex:
     _order: np.ndarray = field(repr=False)
     _stride: int = field(repr=False)
 
-    @property
-    def buckets(self) -> dict[tuple[int, int], list[int]]:
-        """Cell coordinates -> indices of the points in that cell."""
-        out: dict[tuple[int, int], list[int]] = {}
-        if self.count == 0:
-            return out
-        edges = np.nonzero(np.diff(self._keys))[0] + 1
-        starts = np.concatenate(([0], edges))
-        stops = np.concatenate((edges, [self.count]))
-        for a, b in zip(starts, stops):
-            key = int(self._keys[a])
-            cell = (key // self._stride - 1, key % self._stride - 1)
-            out[cell] = sorted(int(i) for i in self._order[a:b])
-        return out
-
 
 def _cell_keys(points: np.ndarray, cell_size: float, stride: int) -> np.ndarray:
     cells = np.floor(points / cell_size).astype(np.int64)
     return (cells[:, 0] + 1) * stride + (cells[:, 1] + 1)
 
 
-def as_xy_array(points) -> np.ndarray:
-    """Accept an (N, 2) array or a sequence of Point2."""
-    if isinstance(points, np.ndarray):
-        return points.reshape(-1, 2).astype(float, copy=False)
-    return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
-
-
-def build_index(points, cell_size: float) -> GridIndex:
-    """Index points on a grid of the given cell size (must be positive)."""
+def build_index(points: np.ndarray, cell_size: float) -> GridIndex:
+    """Index an ``(N, 2)`` array of points on a grid of the given cell size
+    (must be positive)."""
     if not cell_size > 0.0:
         raise ValueError("cell_size must be positive")
-    xy = as_xy_array(points)
+    xy = np.asarray(points, dtype=float)
     stride = int(math.floor(1.0 / cell_size)) + 4
     if xy.shape[0] == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -237,39 +199,6 @@ def build_index(points, cell_size: float) -> GridIndex:
     keys = _cell_keys(xy, cell_size, stride)
     order = np.argsort(keys, kind="stable")
     return GridIndex(cell_size, xy.shape[0], keys[order], order, stride)
-
-
-_NEIGHBOR_OFFSETS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-
-
-def neighbors_within(idx: GridIndex, points, center, radius: float) -> np.ndarray:
-    """Indices of all points within ``radius`` of ``center`` (inclusive).
-
-    Requires ``radius <= cell_size``; a point equal to the center is
-    included, so callers exclude self by index.
-    """
-    if radius > idx.cell_size:
-        raise ValueError("radius must not exceed the index cell size")
-    if idx.count == 0:
-        return np.empty(0, dtype=np.int64)
-    xy = as_xy_array(points)
-    cx, cy = (
-        (center.x, center.y) if isinstance(center, Point2) else (center[0], center[1])
-    )
-    ix = math.floor(cx / idx.cell_size)
-    iy = math.floor(cy / idx.cell_size)
-    chunks = []
-    for dx, dy in _NEIGHBOR_OFFSETS:
-        key = (ix + dx + 1) * idx._stride + (iy + dy + 1)
-        a = np.searchsorted(idx._keys, key, "left")
-        b = np.searchsorted(idx._keys, key, "right")
-        if b > a:
-            chunks.append(idx._order[a:b])
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    cand = np.concatenate(chunks)
-    d2 = (xy[cand, 0] - cx) ** 2 + (xy[cand, 1] - cy) ** 2
-    return np.sort(cand[d2 <= radius * radius])
 
 
 def _expand_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,24 +214,23 @@ def _expand_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, n
 
 
 def ordered_pairs_within(
-    idx: GridIndex, points, radius: float
+    idx: GridIndex, points: np.ndarray, radius: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """All ordered pairs ``(i, j)``, ``i != j``, with ``|p_i - p_j| <= radius``.
 
-    Bulk companion to ``neighbors_within`` used by the graph sampler;
-    requires ``radius <= cell_size``. The three neighbor keys of one cell
-    row are consecutive integers, so each row contributes one contiguous
-    range of the sorted key array.
+    ``points`` is the ``(N, 2)`` array ``idx`` was built from; requires
+    ``radius <= cell_size``. The three neighbor keys of one cell row are
+    consecutive integers, so each row contributes one contiguous range of
+    the sorted key array.
     """
     if radius > idx.cell_size:
         raise ValueError("radius must not exceed the index cell size")
-    xy = as_xy_array(points)
+    xy = np.asarray(points, dtype=float)
     n = xy.shape[0]
     if n == 0:
         e = np.empty(0, dtype=np.int64)
         return e, e
-    cells = np.floor(xy / idx.cell_size).astype(np.int64)
-    base = (cells[:, 0] + 1) * idx._stride + (cells[:, 1] + 1)
+    base = _cell_keys(xy, idx.cell_size, idx._stride)
     out_i = []
     out_j = []
     for dx in (-1, 0, 1):

@@ -170,12 +170,10 @@ def clopper_pearson(successes: int, trials: int, level: float = 0.99) -> tuple[f
     return lo, hi
 
 
-def _max_hist(records: list[TrialRecord], side: str) -> dict[int, int]:
-    values = [rec.max_out if side == "out" else rec.max_in for rec in records]
-    hist: dict[int, int] = {}
-    for v in values:
-        hist[v] = hist.get(v, 0) + 1
-    return hist
+def int_hist(values) -> dict[int, int]:
+    """Value -> count of a sequence of ints, sorted by value."""
+    uniq, counts = np.unique(np.asarray(values, dtype=np.int64), return_counts=True)
+    return {int(u): int(c) for u, c in zip(uniq, counts)}
 
 
 def _compare_side(
@@ -186,7 +184,7 @@ def _compare_side(
     ci_level: float,
 ) -> SideComparison:
     t = len(records)
-    hist = _max_hist(records, side)
+    hist = int_hist([rec.max_out if side == "out" else rec.max_in for rec in records])
     n_km1 = hist.get(prediction.k - 1, 0)
     n_k = hist.get(prediction.k, 0)
     mass_km1 = n_km1 / t
@@ -211,7 +209,7 @@ def _compare_side(
         ci_half_km1=half1,
         two_point=two,
         ci_half_two_point=half2,
-        hist=dict(sorted(hist.items())),
+        hist=hist,
         point_pass=bool(point_pass),
         two_point_pass=bool(two_pass),
         verdict="PASS" if (point_pass and two_pass) else "FAIL",
@@ -339,12 +337,12 @@ def mode_agreement(
     for side in ("out", "in"):
         vals_b = np.array([r.max_out if side == "out" else r.max_in for r in rec_b])
         vals_p = np.array([r.max_out if side == "out" else r.max_in for r in rec_p])
-        dist = half_l1(_hist_of(vals_b), _hist_of(vals_p))
+        dist = half_l1(int_hist(vals_b), int_hist(vals_p))
         reps = np.empty(bootstrap)
         for i in range(bootstrap):
             rb = vals_b[rng.integers(0, trials, trials)]
             rp = vals_p[rng.integers(0, trials, trials)]
-            reps[i] = half_l1(_hist_of(rb), _hist_of(rp))
+            reps[i] = half_l1(int_hist(rb), int_hist(rp))
         report[side] = (dist, float(np.std(reps)))
     return ModeAgreementReport(
         trials=trials,
@@ -353,11 +351,6 @@ def mode_agreement(
         distance_in=report["in"][0],
         bootstrap_se_in=report["in"][1],
     )
-
-
-def _hist_of(values: np.ndarray) -> dict[int, int]:
-    uniq, counts = np.unique(values, return_counts=True)
-    return {int(u): int(c) for u, c in zip(uniq, counts)}
 
 
 def write_trials_csv(records: list[TrialRecord], path) -> None:

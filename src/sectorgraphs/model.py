@@ -208,16 +208,6 @@ def write_vertex_csv(g: FaultySectorGraph, path) -> None:
             )
 
 
-def mean_alive_count(params: ModelParams) -> float:
-    """Expected number of alive vertices."""
-    return params.n * (1.0 - params.v)
-
-
-def boundary_strip_fraction(r: float) -> float:
-    """Area of the strip within ``r`` of the square boundary."""
-    return 1.0 - (1.0 - 2.0 * r) ** 2 if r < 0.5 else 1.0
-
-
 def check_structure(g: FaultySectorGraph) -> None:
     """Raise AssertionError if a structural invariant fails.
 

@@ -59,8 +59,13 @@ def brute_force_graph(params: ModelParams, trial_index: int):
         dy = positions[None, :, 1] - positions[:, None, 1]
         d2 = dx * dx + dy * dy
         in_range = (d2 > 0.0) & (d2 <= params.r * params.r)
-        rel = np.mod(np.arctan2(dy, dx) - orientations[:, None], TWO_PI)
-        adj = in_range & (rel < params.alpha) & alive[:, None] & alive[None, :]
+        # alpha = 2*pi is the full disk: every direction is in the arc.
+        if params.alpha >= TWO_PI:
+            in_arc = True
+        else:
+            rel = np.mod(np.arctan2(dy, dx) - orientations[:, None], TWO_PI)
+            in_arc = rel < params.alpha
+        adj = in_range & in_arc & alive[:, None] & alive[None, :]
         np.fill_diagonal(adj, False)
         if params.q > 0.0:
             ii, jj = np.nonzero(adj)

@@ -70,6 +70,12 @@ class TestDecomposeRegions:
         with pytest.raises(ValueError):
             decompose_regions(s1, s2)
 
+    def test_angle_mismatch_rejected(self):
+        s1 = Sector(Point2(0.3, 0.3), 0.0, 2.0, 0.1)
+        s2 = Sector(Point2(0.3, 0.3), 0.0, 3.0, 0.1)
+        with pytest.raises(ValueError):
+            decompose_regions(s1, s2)
+
     def test_pieces_sum_to_union_area(self):
         s1 = Sector(Point2(0.4, 0.42), 0.5, 4.0, 0.15)
         s2 = Sector(Point2(0.47, 0.4), 2.5, 4.0, 0.15)

@@ -8,17 +8,29 @@ from sectorgraphs.geometry import (
     Point2,
     Sector,
     TWO_PI,
-    UNIT_DISK_AREA,
+    angle_in_arc,
     build_index,
     clipped_area,
-    neighbors_within,
     ordered_pairs_within,
     sector_contains,
 )
 
 
-def test_unit_disk_area_is_pi():
-    assert UNIT_DISK_AREA == math.pi
+def _scan_pairs(pts: np.ndarray, radius: float) -> set[tuple[int, int]]:
+    """Ordered pairs ``i != j`` within ``radius``, by a blockwise O(N^2) scan."""
+    pairs = set()
+    for lo in range(0, len(pts), 250):
+        block = pts[lo : lo + 250]
+        dx = pts[None, :, 0] - block[:, None, 0]
+        dy = pts[None, :, 1] - block[:, None, 1]
+        i, j = np.nonzero(dx * dx + dy * dy <= radius * radius)
+        pairs.update(zip((i + lo).tolist(), j.tolist()))
+    return {(i, j) for i, j in pairs if i != j}
+
+
+def _index_pairs(pts: np.ndarray, cell_size: float, radius: float) -> set[tuple[int, int]]:
+    gi, gj = ordered_pairs_within(build_index(pts, cell_size), pts, radius)
+    return set(zip(gi.tolist(), gj.tolist()))
 
 
 class TestTypes:
@@ -38,6 +50,31 @@ class TestTypes:
             Sector(apex, 0.0, 2.5 * TWO_PI, 0.1)
         with pytest.raises(ValueError):
             Sector(apex, 0.0, math.pi, 0.0)
+
+
+class TestAngleInArc:
+    def test_full_circle_matches_extended_precision(self):
+        # Width 2*pi is the whole circle, so every direction is inside. For
+        # (1, -1e-20) the double-precision relative angle rounds up to 2*pi.
+        directions = [(1.0, -1e-20), (1.0, -1e-30), (1.0, 0.0), (-1.0, 1e-20), (0.3, -0.4)]
+        with mp.workdps(60):
+            two_pi_mp = 2 * mp.pi
+            for elevation in (0.0, 1.0, 6.0):
+                for dx, dy in directions:
+                    for width in (TWO_PI, math.pi, 1e-3):
+                        # A float width of 2*pi stands for the exact full circle.
+                        w = two_pi_mp if width == TWO_PI else mp.mpf(width)
+                        rel = (mp.atan2(dy, dx) - mp.mpf(elevation)) % two_pi_mp
+                        assert bool(angle_in_arc(dx, dy, elevation, width)) == (rel < w)
+
+    def test_full_circle_keeps_broadcast_shape(self):
+        dx = np.array([[1.0], [-1.0], [0.5]])
+        dy = np.array([-1e-20, 0.0, 2.0, -3.0])
+        for elevation in (0.0, np.zeros((2, 1, 1))):
+            full = angle_in_arc(dx, dy, elevation, TWO_PI)
+            part = angle_in_arc(dx, dy, elevation, math.pi)
+            assert full.shape == part.shape
+            assert full.dtype == bool and full.all()
 
 
 class TestSectorContains:
@@ -130,78 +167,55 @@ class TestClippedArea:
 
 class TestGridIndex:
     def test_empty(self):
-        idx = build_index([], 0.1)
+        pts = np.empty((0, 2))
+        idx = build_index(pts, 0.1)
         assert idx.count == 0
-        assert idx.buckets == {}
-        assert neighbors_within(idx, [], Point2(0.5, 0.5), 0.1).size == 0
+        gi, gj = ordered_pairs_within(idx, pts, 0.1)
+        assert gi.size == 0 and gj.size == 0
 
     def test_three_points_one_cell(self):
-        pts = [Point2(0.51, 0.51), Point2(0.52, 0.52), Point2(0.53, 0.53)]
+        pts = np.array([[0.51, 0.51], [0.52, 0.52], [0.53, 0.53]])
         idx = build_index(pts, 0.1)
         assert idx.count == 3
-        assert len(idx.buckets) == 1
-        (bucket,) = idx.buckets.values()
-        assert bucket == [0, 1, 2]
+        got = _index_pairs(pts, 0.1, 0.1)
+        assert got == {(i, j) for i in range(3) for j in range(3) if i != j}
+        assert got == _scan_pairs(pts, 0.1)
 
     def test_buckets_partition_points(self):
         rng = np.random.default_rng(7)
         pts = rng.random((10_000, 2))
         idx = build_index(pts, 0.03)
-        seen = [i for bucket in idx.buckets.values() for i in bucket]
-        assert sorted(seen) == list(range(10_000))
+        assert idx.count == 10_000
+        assert _index_pairs(pts, 0.03, 0.03) == _scan_pairs(pts, 0.03)
 
     def test_rejects_nonpositive_cell(self):
         with pytest.raises(ValueError):
-            build_index([], 0.0)
+            build_index(np.empty((0, 2)), 0.0)
 
     def test_rejects_oversized_radius(self):
         pts = np.array([[0.5, 0.5]])
         idx = build_index(pts, 0.1)
         with pytest.raises(ValueError):
-            neighbors_within(idx, pts, Point2(0.5, 0.5), 0.2)
-        with pytest.raises(ValueError):
             ordered_pairs_within(idx, pts, 0.2)
 
     def test_isolated_point(self):
         pts = np.array([[0.5, 0.5], [0.9, 0.9]])
-        idx = build_index(pts, 0.05)
-        got = neighbors_within(idx, pts, Point2(0.5, 0.5), 0.05)
-        assert got.tolist() == [0]
+        got = _index_pairs(pts, 0.05, 0.05)
+        assert got == set() == _scan_pairs(pts, 0.05)
 
     def test_all_points_identical(self):
         pts = np.full((25, 2), 0.4)
-        idx = build_index(pts, 0.01)
-        got = neighbors_within(idx, pts, Point2(0.4, 0.4), 0.01)
-        assert got.tolist() == list(range(25))
-
-    def test_queries_match_linear_scan(self):
-        rng = np.random.default_rng(123)
-        pts = rng.random((500, 2))
-        radius = 0.07
-        idx = build_index(pts, radius)
-        for _ in range(100):
-            c = rng.random(2)
-            got = set(neighbors_within(idx, pts, c, radius).tolist())
-            d2 = np.sum((pts - c) ** 2, axis=1)
-            want = set(np.nonzero(d2 <= radius * radius)[0].tolist())
-            assert got == want
+        got = _index_pairs(pts, 0.01, 0.01)
+        assert got == {(i, j) for i in range(25) for j in range(25) if i != j}
+        assert got == _scan_pairs(pts, 0.01)
 
     def test_ordered_pairs_match_linear_scan(self):
         rng = np.random.default_rng(321)
         pts = rng.random((400, 2))
         radius = 0.06
-        idx = build_index(pts, radius)
-        gi, gj = ordered_pairs_within(idx, pts, radius)
-        got = set(zip(gi.tolist(), gj.tolist()))
-        dx = pts[None, :, 0] - pts[:, None, 0]
-        dy = pts[None, :, 1] - pts[:, None, 1]
-        close = dx * dx + dy * dy <= radius * radius
-        np.fill_diagonal(close, False)
-        want = set(zip(*[a.tolist() for a in np.nonzero(close)]))
-        assert got == want
+        assert _index_pairs(pts, radius, radius) == _scan_pairs(pts, radius)
 
     def test_point_on_square_border_indexed(self):
         pts = np.array([[1.0, 1.0], [0.98, 0.98]])
-        idx = build_index(pts, 0.05)
-        got = neighbors_within(idx, pts, Point2(1.0, 1.0), 0.05)
-        assert got.tolist() == [0, 1]
+        got = _index_pairs(pts, 0.05, 0.05)
+        assert got == {(0, 1), (1, 0)} == _scan_pairs(pts, 0.05)
