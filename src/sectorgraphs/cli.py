@@ -279,6 +279,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     (out / "summary.csv").write_text("\n".join(lines) + "\n")
     _persist(cfg, out, {"points": points})
     print("\n".join(lines))
+    if failed:
+        print(f"sweep: {failed} of {len(points)} points failed", file=sys.stderr)
     return 2 if failed == len(points) else 0
 
 

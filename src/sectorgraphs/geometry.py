@@ -201,18 +201,6 @@ def build_index(points: np.ndarray, cell_size: float) -> GridIndex:
     return GridIndex(cell_size, xy.shape[0], keys[order], order, stride)
 
 
-def _expand_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    counts = stops - starts
-    total = int(counts.sum())
-    if total == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e
-    rows = np.repeat(np.arange(starts.size, dtype=np.int64), counts)
-    excl = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    pos = np.arange(total, dtype=np.int64) - np.repeat(excl, counts) + np.repeat(starts, counts)
-    return rows, pos
-
-
 def ordered_pairs_within(
     idx: GridIndex, points: np.ndarray, radius: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -221,28 +209,34 @@ def ordered_pairs_within(
     ``points`` is the ``(N, 2)`` array ``idx`` was built from; requires
     ``radius <= cell_size``. The three neighbor keys of one cell row are
     consecutive integers, so each row contributes one contiguous range of
-    the sorted key array.
+    the sorted key array. Pairs come in blocks of ``dx = -1, 0, 1``; within
+    a block, ordered by ``i`` and then by position in the sorted keys.
     """
     if radius > idx.cell_size:
         raise ValueError("radius must not exceed the index cell size")
     xy = np.asarray(points, dtype=float)
-    n = xy.shape[0]
-    if n == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e
-    base = _cell_keys(xy, idx.cell_size, idx._stride)
-    out_i = []
-    out_j = []
+    keys, order, n = idx._keys, idx._order, idx.count
+    # Coordinates in key order: reads at ``pos`` stay within neighbouring
+    # cells instead of gathering from all of ``xy``.
+    sx, sy = xy[order, 0], xy[order, 1]
+    rows = np.arange(n, dtype=np.int64)
+    starts = np.empty(n, dtype=np.int64)
+    stops = np.empty(n, dtype=np.int64)
+    out_i, out_j = [], []
     for dx in (-1, 0, 1):
-        nkey = base + dx * idx._stride
-        starts = np.searchsorted(idx._keys, nkey - 1, "left")
-        stops = np.searchsorted(idx._keys, nkey + 2, "left")
-        rows, pos = _expand_ranges(starts, stops)
-        out_i.append(rows)
-        out_j.append(idx._order[pos])
-    i = np.concatenate(out_i)
-    j = np.concatenate(out_j)
-    dx_ = xy[j, 0] - xy[i, 0]
-    dy_ = xy[j, 1] - xy[i, 1]
-    keep = (i != j) & (dx_ * dx_ + dy_ * dy_ <= radius * radius)
-    return i[keep], j[keep]
+        # The queries are the sorted keys, so the binary searches walk the
+        # key array in order; the ranges are scattered back to point order.
+        nkey = keys + dx * idx._stride
+        starts[order] = np.searchsorted(keys, nkey - 1, "left")
+        stops[order] = np.searchsorted(keys, nkey + 2, "left")
+        counts = stops - starts
+        excl = np.cumsum(counts) - counts
+        pos = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(starts - excl, counts)
+        i = np.repeat(rows, counts)
+        j = order[pos]
+        dx_ = sx[pos] - np.repeat(xy[:, 0], counts)
+        dy_ = sy[pos] - np.repeat(xy[:, 1], counts)
+        keep = (i != j) & (dx_ * dx_ + dy_ * dy_ <= radius * radius)
+        out_i.append(i[keep])
+        out_j.append(j[keep])
+    return np.concatenate(out_i), np.concatenate(out_j)

@@ -241,6 +241,18 @@ class TestSweep:
         ks = [int(line.split(",")[4]) for line in lines[1:]]
         assert ks == sorted(ks)
 
+    def test_partial_failure_reported_on_stderr(self, tmp_path, capsys):
+        # At n = 2, mu = 1 needs r >= 0.5, so that point errors; n = 400 passes.
+        rc = run_cli(
+            "sweep", "--n-grid", "2,400", "--alpha", "pi", "--mu-target", "1",
+            "--trials", "20", "--slack", "1.0", "--seed", "3", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        assert "sweep: 1 of 2 points failed" in capsys.readouterr().err
+        rows = (tmp_path / "summary.csv").read_text().splitlines()
+        verdicts = [row.split(",")[-1] for row in rows]
+        assert verdicts[1].startswith("ERROR:") and verdicts[2] == "PASS"
+
     def test_empty_grid_exits_1(self, capsys):
         rc = run_cli("sweep", "--alpha", "pi", "--mu-target", "1")
         assert rc == 1

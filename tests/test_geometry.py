@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sectorgraphs.geometry import (
     Point2,
@@ -26,6 +28,24 @@ def _scan_pairs(pts: np.ndarray, radius: float) -> set[tuple[int, int]]:
         i, j = np.nonzero(dx * dx + dy * dy <= radius * radius)
         pairs.update(zip((i + lo).tolist(), j.tolist()))
     return {(i, j) for i, j in pairs if i != j}
+
+
+@st.composite
+def _cell_edge_points(draw):
+    """``(points, cell_size, radius)`` with duplicate points and coordinates
+    on exact cell edges (multiples of ``cell_size``, 0.0, 1.0) or one ulp off
+    them; ``radius`` is ``cell_size`` or smaller."""
+    cell = draw(st.sampled_from([0.05, 0.1, 0.125, 0.2, 0.25, 1 / 3, 0.45]))
+    edge = st.builds(
+        lambda k, ulp: float(np.clip(np.nextafter(k * cell, k * cell + ulp), 0.0, 1.0)),
+        st.integers(0, int(1 / cell) + 1),
+        st.sampled_from([0, -1, 1]),
+    )
+    coord = st.one_of(st.sampled_from([0.0, 1.0]), edge, st.floats(0.0, 1.0))
+    base = draw(st.lists(st.tuples(coord, coord), max_size=10))
+    dups = draw(st.lists(st.sampled_from(base), max_size=4)) if base else []
+    radius = draw(st.one_of(st.just(cell), st.floats(0.0, cell)))
+    return np.array(base + dups, dtype=float).reshape(-1, 2), cell, radius
 
 
 def _index_pairs(pts: np.ndarray, cell_size: float, radius: float) -> set[tuple[int, int]]:
@@ -103,8 +123,8 @@ class TestSectorContains:
     def test_matches_extended_precision(self):
         # Direct evaluation of distance and reduced angle at 50 digits.
         rng = np.random.default_rng(20240831)
-        two_pi_mp = 2 * mp.pi
         with mp.workdps(50):
+            two_pi_mp = 2 * mp.pi
             for _ in range(10_000):
                 ax, ay = rng.random(2)
                 elev = float(TWO_PI * rng.random())
@@ -219,3 +239,16 @@ class TestGridIndex:
         pts = np.array([[1.0, 1.0], [0.98, 0.98]])
         got = _index_pairs(pts, 0.05, 0.05)
         assert got == {(0, 1), (1, 0)} == _scan_pairs(pts, 0.05)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_cell_edge_points())
+    @example((np.empty((0, 2)), 0.1, 0.1))
+    @example((np.array([[0.3, 0.3]]), 0.1, 0.1))
+    @example((np.array([[0.3, 0.3], [0.4, 0.3]]), 0.1, 0.1))
+    @example((np.array([[0.2, 0.7], [0.2, 0.7]]), 0.1, 0.05))
+    def test_property_matches_linear_scan(self, case):
+        pts, cell, radius = case
+        gi, gj = ordered_pairs_within(build_index(pts, cell), pts, radius)
+        got = list(zip(gi.tolist(), gj.tolist()))
+        assert len(got) == len(set(got))
+        assert set(got) == _scan_pairs(pts, radius)

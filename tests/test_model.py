@@ -1,11 +1,21 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sectorgraphs.degree_sets import DegreeSet
-from sectorgraphs.geometry import TWO_PI, Point2, Sector, sector_contains
+from sectorgraphs.geometry import (
+    TWO_PI,
+    Point2,
+    Sector,
+    build_index,
+    ordered_pairs_within,
+    sector_contains,
+)
 from sectorgraphs.model import (
     ModelParams,
     check_structure,
@@ -72,6 +82,21 @@ class TestSampleGraph:
             assert np.array_equal(g.alive, alive)
             want = set(zip(*[a.tolist() for a in np.nonzero(adj)]))
             assert g.arc_set() == want
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        r=st.floats(1e-3, 0.5, exclude_max=True),
+        v=st.sampled_from([0.0, 0.4]),
+        q=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(0, 2**64 - 1),
+        trial=st.integers(0, 10**6),
+    )
+    def test_full_disk_property_matches_brute_force(self, n, r, v, q, seed, trial):
+        params = ModelParams(n=n, alpha=TWO_PI, r=r, v=v, q=q, master_seed=seed)
+        g = sample_trial(params, trial)
+        _, _, _, adj = brute_force_graph(params, trial)
+        assert g.arc_set() == set(zip(*[a.tolist() for a in np.nonzero(adj)]))
 
     def test_positions_in_square_orientations_in_range(self):
         g = sample_trial(ModelParams(n=500, alpha=math.pi, r=0.05, v=0.0, q=0.0), 1)
@@ -236,3 +261,33 @@ def test_stream_draw_order_is_documented_contract():
     u2 = TrialStream(31, 4).pair_uniforms(np.array([3]), np.array([7]))
     assert u1 == u2
     assert stream.pair_uniform(3, 7) == u1[0]
+
+
+def _sha256(*arrays: np.ndarray) -> str:
+    return hashlib.sha256(b"".join(a.astype("<i8").tobytes() for a in arrays)).hexdigest()
+
+
+# The order of arcs and pairs is output too (edge lists are written in it),
+# and the set comparisons elsewhere cannot see it, so pin it by digest.
+@pytest.mark.parametrize(
+    "alpha, arcs, digest",
+    [
+        (math.pi, 8894, "2222a5afcdb41b73894590ef9b4a9d02be672efed0e31b18632f2152361d4f9c"),
+        (TWO_PI, 9014, "2d33d9202447753ee0b628c8d6706628c115671bf06d776dc492b492a77c76b1"),
+    ],
+)
+def test_arc_order_is_pinned(alpha, arcs, digest):
+    r = radius_for_mean_degree(10_000, alpha, 0.1, 0.2, 1.0)
+    params = ModelParams(
+        n=10_000, alpha=alpha, r=r, v=0.1, q=0.2, mode="poisson", master_seed=2024
+    )
+    g = sample_graph(params, TrialStream(2024, 3))
+    assert g.arcs.shape == (arcs, 2)
+    assert _sha256(g.arcs) == digest
+
+
+def test_pair_order_is_pinned():
+    pts = np.random.default_rng(99).random((10_000, 2))
+    i, j = ordered_pairs_within(build_index(pts, 0.02), pts, 0.02)
+    assert i.size == 123_498
+    assert _sha256(i, j) == "ccad2a6aeeaa41061558936913a2ab25f0f81bfe4793b7a4d82b32ddffa87386"
