@@ -10,11 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 def _poisson_pmf(k: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Vectorized Poisson pmf, exact at mean 0."""
+    from scipy import special  # imported on use: it costs ~0.4 s
+
     k = np.asarray(k, dtype=float)
     mean = np.asarray(mean, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -32,6 +33,8 @@ def _poisson_pmf(k: np.ndarray, mean: np.ndarray) -> np.ndarray:
 
 def poisson_upper_tail_vec(mean, threshold) -> np.ndarray:
     """``P(Poi(mean) >= threshold)`` for array inputs via incomplete gamma."""
+    from scipy import special
+
     mean = np.asarray(mean, dtype=float)
     t = np.asarray(threshold, dtype=float)
     t_clip = np.maximum(t, 1.0)

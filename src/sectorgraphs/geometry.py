@@ -202,41 +202,76 @@ def build_index(points: np.ndarray, cell_size: float) -> GridIndex:
 
 
 def ordered_pairs_within(
-    idx: GridIndex, points: np.ndarray, radius: float
+    idx: GridIndex,
+    points: np.ndarray,
+    radius: float,
+    orientations: np.ndarray | None = None,
+    alpha: float = TWO_PI,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All ordered pairs ``(i, j)``, ``i != j``, with ``|p_i - p_j| <= radius``.
+    """Ordered pairs ``(i, j)``, ``i != j``, with ``|p_i - p_j| <= radius``.
 
     ``points`` is the ``(N, 2)`` array ``idx`` was built from; requires
-    ``radius <= cell_size``. The three neighbor keys of one cell row are
-    consecutive integers, so each row contributes one contiguous range of
-    the sorted key array. Pairs come in blocks of ``dx = -1, 0, 1``; within
-    a block, ordered by ``i`` and then by position in the sorted keys.
+    ``radius <= cell_size``. Without ``orientations`` every such pair is
+    returned, coincident points included. With ``orientations`` (one per
+    point), ``(i, j)`` is kept only when ``p_j`` lies in the sector of
+    angle ``alpha`` at apex ``p_i`` with elevation ``orientations[i]``,
+    as ``points_in_sector`` decides it: a point at squared distance 0 from
+    the apex is excluded.
+
+    Order: blocks by the column offset of ``j``'s cell from ``i``'s
+    (``-1, 0, 1``); within a block, by ``i`` and then by the position of
+    ``j`` in the sorted keys. The order is restored by sorting the int64
+    key ``(block * N + i) * N + pos_j``, which requires ``N < 1.7e9``.
+
+    Each unordered pair is visited once, from its endpoint earlier in key
+    order: the rest of its own cell and the cell above (consecutive keys),
+    and the three cells of the next column (one contiguous key range).
+    Both directions are tested from one ``(dx, dy)``; the reverse uses
+    ``(-dx, -dy)``, which IEEE subtraction makes exact.
     """
     if radius > idx.cell_size:
         raise ValueError("radius must not exceed the index cell size")
-    xy = np.asarray(points, dtype=float)
     keys, order, n = idx._keys, idx._order, idx.count
-    # Coordinates in key order: reads at ``pos`` stay within neighbouring
+    if orientations is not None:
+        theta = np.asarray(orientations, dtype=float)
+        if len(theta) != n:
+            raise ValueError(f"{len(theta)} orientations for {n} indexed points")
+        st = theta[order]
+    xy = np.asarray(points, dtype=float)
+    # Coordinates in key order: reads at ``b`` stay within neighbouring
     # cells instead of gathering from all of ``xy``.
     sx, sy = xy[order, 0], xy[order, 1]
-    rows = np.arange(n, dtype=np.int64)
-    starts = np.empty(n, dtype=np.int64)
-    stops = np.empty(n, dtype=np.int64)
-    out_i, out_j = [], []
-    for dx in (-1, 0, 1):
-        # The queries are the sorted keys, so the binary searches walk the
-        # key array in order; the ranges are scattered back to point order.
-        nkey = keys + dx * idx._stride
-        starts[order] = np.searchsorted(keys, nkey - 1, "left")
-        stops[order] = np.searchsorted(keys, nkey + 2, "left")
-        counts = stops - starts
+    pos = np.arange(n, dtype=np.int64)
+    # (first, stop) of each point's partners, in key positions, and the
+    # column offset of the partner's cell.
+    ranges = (
+        (pos + 1, np.searchsorted(keys, keys + 2, "left"), 0),
+        (
+            np.searchsorted(keys, keys + (idx._stride - 1), "left"),
+            np.searchsorted(keys, keys + (idx._stride + 2), "left"),
+            1,
+        ),
+    )
+    out = []
+    for first, stop, col in ranges:
+        counts = stop - first
         excl = np.cumsum(counts) - counts
-        pos = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(starts - excl, counts)
-        i = np.repeat(rows, counts)
-        j = order[pos]
-        dx_ = sx[pos] - np.repeat(xy[:, 0], counts)
-        dy_ = sy[pos] - np.repeat(xy[:, 1], counts)
-        keep = (i != j) & (dx_ * dx_ + dy_ * dy_ <= radius * radius)
-        out_i.append(i[keep])
-        out_j.append(j[keep])
-    return np.concatenate(out_i), np.concatenate(out_j)
+        b = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(first - excl, counts)
+        dx = sx[b] - np.repeat(sx, counts)
+        dy = sy[b] - np.repeat(sy, counts)
+        d2 = dx * dx + dy * dy
+        near = d2 <= radius * radius
+        if orientations is not None:
+            near &= d2 > 0.0  # the apex rule of ``points_in_sector``
+        near = np.nonzero(near)[0]
+        a, b, dx, dy = np.repeat(pos, counts)[near], b[near], dx[near], dy[near]
+        if orientations is None:
+            fwd = rev = slice(None)
+        else:
+            fwd = angle_in_arc(dx, dy, st[a], alpha)
+            rev = angle_in_arc(-dx, -dy, st[b], alpha)
+        # a -> b lies in block ``col + 1`` and b -> a in block ``1 - col``.
+        out.append(((col + 1) * n + order[a[fwd]]) * n + b[fwd])
+        out.append(((1 - col) * n + order[b[rev]]) * n + a[rev])
+    block_i, pos_j = np.divmod(np.sort(np.concatenate(out)), max(n, 1))
+    return block_i % n, order[pos_j]

@@ -14,7 +14,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import beta
 
 from .degree_sets import DegreeSet
 from .model import (
@@ -163,10 +162,16 @@ def run_trials(
 
 
 def clopper_pearson(successes: int, trials: int, level: float = 0.99) -> tuple[float, float]:
-    """Exact binomial confidence interval."""
+    """Exact binomial confidence interval.
+
+    The endpoints are beta quantiles, ``scipy.stats.beta.ppf``; the same
+    values come from ``betaincinv`` without importing ``scipy.stats``.
+    """
+    from scipy.special import betaincinv
+
     alpha = 1.0 - level
-    lo = 0.0 if successes == 0 else float(beta.ppf(alpha / 2, successes, trials - successes + 1))
-    hi = 1.0 if successes == trials else float(beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
+    lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, alpha / 2))
+    hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
     return lo, hi
 
 

@@ -111,15 +111,10 @@ def sample_graph(params: ModelParams, stream: TrialStream) -> FaultySectorGraph:
     # Dead vertices neither send nor receive, so index only the alive ones.
     alive_pos = positions[alive_idx]
     idx = build_index(alive_pos, params.r)
-    ia, ja = ordered_pairs_within(idx, alive_pos, params.r)
-    i, j = alive_idx[ia], alive_idx[ja]
-    dx = positions[j, 0] - positions[i, 0]
-    dy = positions[j, 1] - positions[i, 1]
-    # Coincident points are excluded like the sector apex.
-    keep = ((dx != 0.0) | (dy != 0.0)) & angle_in_arc(
-        dx, dy, orientations[i], params.alpha
+    ia, ja = ordered_pairs_within(
+        idx, alive_pos, params.r, orientations[alive_idx], params.alpha
     )
-    i, j = i[keep], j[keep]
+    i, j = alive_idx[ia], alive_idx[ja]
     if params.q > 0.0 and i.size:
         survives = stream.pair_uniforms(i, j) >= params.q
         i, j = i[survives], j[survives]

@@ -14,6 +14,7 @@ from sectorgraphs.geometry import (
     build_index,
     clipped_area,
     ordered_pairs_within,
+    points_in_sector,
     sector_contains,
 )
 
@@ -46,6 +47,33 @@ def _cell_edge_points(draw):
     dups = draw(st.lists(st.sampled_from(base), max_size=4)) if base else []
     radius = draw(st.one_of(st.just(cell), st.floats(0.0, cell)))
     return np.array(base + dups, dtype=float).reshape(-1, 2), cell, radius
+
+
+def _apex_scan(pts, theta, alpha, radius) -> set[tuple[int, int]]:
+    """Arcs ``i -> j`` by testing every point against each apex's sector."""
+    return {
+        (i, j)
+        for i in range(len(pts))
+        for j in np.nonzero(points_in_sector(pts[i], theta[i], alpha, radius, pts))[0].tolist()
+    }
+
+
+_ORIENTATION = st.one_of(
+    st.sampled_from([0.0, float(np.nextafter(TWO_PI, 0.0)), math.pi]),
+    st.floats(0.0, TWO_PI, exclude_max=True),
+)
+
+
+def _with_orientations(case):
+    """``(case, orientations)``: one orientation per point of the case."""
+    n = len(case[0])
+    return st.tuples(st.just(case), st.lists(_ORIENTATION, min_size=n, max_size=n))
+
+
+_ALPHA = st.one_of(
+    st.sampled_from([5e-324, 1e-12, math.pi, TWO_PI]),
+    st.floats(1e-12, TWO_PI),
+)
 
 
 def _index_pairs(pts: np.ndarray, cell_size: float, radius: float) -> set[tuple[int, int]]:
@@ -252,3 +280,27 @@ class TestGridIndex:
         got = list(zip(gi.tolist(), gj.tolist()))
         assert len(got) == len(set(got))
         assert set(got) == _scan_pairs(pts, radius)
+
+    def test_rejects_orientation_count_mismatch(self):
+        pts = np.array([[0.5, 0.5], [0.52, 0.5]])
+        idx = build_index(pts, 0.1)
+        with pytest.raises(ValueError, match="orientations"):
+            ordered_pairs_within(idx, pts, 0.1, np.zeros(3), math.pi)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_cell_edge_points().flatmap(_with_orientations), _ALPHA)
+    @example(((np.empty((0, 2)), 0.1, 0.1), []), math.pi)
+    @example(((np.array([[0.2, 0.7], [0.2, 0.7], [0.25, 0.7]]), 0.1, 0.1), [0.0] * 3), 1e-12)
+    def test_sector_property_matches_apex_scan(self, case, alpha):
+        (pts, cell, radius), theta = case
+        theta = np.array(theta, dtype=float)
+        idx = build_index(pts, cell)
+        gi, gj = ordered_pairs_within(idx, pts, radius, theta, alpha)
+        assert gi.dtype == gj.dtype == np.int64
+        assert set(zip(gi.tolist(), gj.tolist())) == _apex_scan(pts, theta, alpha, radius)
+        # Order: column offset of j's cell from i's, then i, then j's key position.
+        column = np.floor(pts[:, 0] / cell).astype(np.int64)
+        key_pos = np.empty(idx.count, dtype=np.int64)
+        key_pos[idx._order] = np.arange(idx.count)
+        sort_key = list(zip((column[gj] - column[gi]).tolist(), gi.tolist(), key_pos[gj].tolist()))
+        assert sort_key == sorted(set(sort_key))

@@ -143,6 +143,19 @@ class TestClopperPearson:
         lo, hi = clopper_pearson(30, 100, level=0.99)
         assert lo < 0.3 < hi
 
+    def test_equals_beta_quantiles(self):
+        from scipy.stats import beta
+
+        for level in (0.95, 0.99):
+            tail = (1.0 - level) / 2
+            for t in [*range(1, 41), 99, 200, 500, 1000, 2000]:
+                s = np.arange(t + 1)
+                got = np.array([clopper_pearson(int(k), t, level) for k in s])
+                lo = beta.ppf(tail, s[1:], t - s[1:] + 1)
+                hi = beta.ppf(1 - tail, s[:-1] + 1, t - s[:-1])
+                assert np.array_equal(got[1:, 0], lo) and got[0, 0] == 0.0
+                assert np.array_equal(got[:-1, 1], hi) and got[-1, 1] == 1.0
+
 
 class TestSweep:
     def test_single_point_equals_verify(self):

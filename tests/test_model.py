@@ -98,6 +98,25 @@ class TestSampleGraph:
         _, _, _, adj = brute_force_graph(params, trial)
         assert g.arc_set() == set(zip(*[a.tolist() for a in np.nonzero(adj)]))
 
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        alpha=st.one_of(
+            st.sampled_from([1e-12, math.pi]), st.floats(1e-12, TWO_PI, exclude_max=True)
+        ),
+        r=st.floats(1e-3, 0.5, exclude_max=True),
+        v=st.sampled_from([0.0, 0.4]),
+        q=st.sampled_from([0.0, 0.5]),
+        mode=st.sampled_from(["binomial", "poisson"]),
+        seed=st.integers(0, 2**64 - 1),
+        trial=st.integers(0, 10**6),
+    )
+    def test_sector_property_matches_brute_force(self, n, alpha, r, v, q, mode, seed, trial):
+        params = ModelParams(n=n, alpha=alpha, r=r, v=v, q=q, mode=mode, master_seed=seed)
+        g = sample_trial(params, trial)
+        _, _, _, adj = brute_force_graph(params, trial)
+        assert g.arc_set() == set(zip(*[a.tolist() for a in np.nonzero(adj)]))
+
     def test_positions_in_square_orientations_in_range(self):
         g = sample_trial(ModelParams(n=500, alpha=math.pi, r=0.05, v=0.0, q=0.0), 1)
         assert np.all((g.positions >= 0) & (g.positions <= 1))
@@ -284,6 +303,18 @@ def test_arc_order_is_pinned(alpha, arcs, digest):
     g = sample_graph(params, TrialStream(2024, 3))
     assert g.arcs.shape == (arcs, 2)
     assert _sha256(g.arcs) == digest
+
+
+def test_sector_arc_order_is_pinned():
+    # alpha = pi/3 with no faults: the order comes from the sector tests alone.
+    n, alpha = 20_000, math.pi / 3
+    r = radius_for_mean_degree(n, alpha, 0.0, 0.0, 1.0)
+    params = ModelParams(
+        n=n, alpha=alpha, r=r, v=0.0, q=0.0, mode="binomial", master_seed=2024
+    )
+    g = sample_graph(params, TrialStream(2024, 3))
+    assert g.arcs.shape == (19_804, 2)
+    assert _sha256(g.arcs) == "3b55fb01eb7766df612982e57c1f37754e54b2b2c8097171189d75cc88eff4ba"
 
 
 def test_pair_order_is_pinned():
