@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Commands: ``predict``, ``simulate``, ``verify``, ``bound``, ``sweep``.
-Exit codes: 0 success / verification PASS, 1 configuration error,
+Exit codes: 0 success / verification PASS, 1 configuration or I/O error,
 2 verification FAIL, 3 numeric failure.
 """
 
@@ -367,11 +367,11 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
         return 1
     except TruncationBudgetExceeded as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -20,6 +20,10 @@ TWO_PI = 2.0 * math.pi
 # order of the random draws is too.
 _AREA_CHUNK = 512
 
+# Apexes per block of ``ordered_pairs_within``; the output does not
+# depend on it.
+_PAIR_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class Point2:
@@ -171,8 +175,14 @@ def clipped_area(
 
 @dataclass
 class GridIndex:
-    """Uniform-grid point index; a range query with radius <= cell_size
-    inspects only the 3x3 cell neighborhood of the query point."""
+    """Points sorted by grid cell, for pair enumeration by key ranges.
+
+    Cell ``(cx, cy)`` has the int64 key ``(cx + 1) * stride + cy + 1``, so
+    the cell above is ``key + 1`` and the next column starts at
+    ``key + stride``. ``_keys`` holds every point's key in ascending order
+    and ``_order`` the point index at each key position; points of one
+    cell keep their input order.
+    """
 
     cell_size: float
     count: int
@@ -188,17 +198,27 @@ def _cell_keys(points: np.ndarray, cell_size: float, stride: int) -> np.ndarray:
 
 def build_index(points: np.ndarray, cell_size: float) -> GridIndex:
     """Index an ``(N, 2)`` array of points on a grid of the given cell size
-    (must be positive)."""
+    (must be positive).
+
+    Keys are below ``stride**2``, so when ``stride**2 * N < 2**63`` one
+    sort of the distinct int64 values ``key * N + i`` gives the keys and
+    their stable order; otherwise a stable ``argsort`` gives the same.
+    """
     if not cell_size > 0.0:
         raise ValueError("cell_size must be positive")
     xy = np.asarray(points, dtype=float)
+    n = xy.shape[0]
     stride = int(math.floor(1.0 / cell_size)) + 4
-    if xy.shape[0] == 0:
+    if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return GridIndex(cell_size, 0, empty, empty, stride)
     keys = _cell_keys(xy, cell_size, stride)
-    order = np.argsort(keys, kind="stable")
-    return GridIndex(cell_size, xy.shape[0], keys[order], order, stride)
+    if stride * stride * n < 2**63:
+        keys, order = np.divmod(np.sort(keys * n + np.arange(n, dtype=np.int64)), n)
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+    return GridIndex(cell_size, n, keys, order, stride)
 
 
 def ordered_pairs_within(
@@ -224,10 +244,17 @@ def ordered_pairs_within(
     key ``(block * N + i) * N + pos_j``, which requires ``N < 1.7e9``.
 
     Each unordered pair is visited once, from its endpoint earlier in key
-    order: the rest of its own cell and the cell above (consecutive keys),
-    and the three cells of the next column (one contiguous key range).
-    Both directions are tested from one ``(dx, dy)``; the reverse uses
-    ``(-dx, -dy)``, which IEEE subtraction makes exact.
+    order. The partners of the point at key position ``pos`` are two
+    ranges of key positions: ``pos + 1 .. stop(key + 1)``, the rest of its
+    cell and the cell above, and ``start(key + stride - 1) ..
+    stop(key + stride + 1)``, the three cells of the next column. The
+    bounds are found once per distinct cell: ``stop(key + 1)`` from the
+    next distinct cell, the next-column bounds by a search over the
+    distinct keys. Apexes are taken in blocks of ``_PAIR_CHUNK`` key
+    positions, so temporaries stay O(block); the final sort makes the
+    output independent of the block size. Both directions are tested
+    from one ``(dx, dy)``; the reverse uses ``(-dx, -dy)``, which IEEE
+    subtraction makes exact.
     """
     if radius > idx.cell_size:
         raise ValueError("radius must not exceed the index cell size")
@@ -238,40 +265,49 @@ def ordered_pairs_within(
             raise ValueError(f"{len(theta)} orientations for {n} indexed points")
         st = theta[order]
     xy = np.asarray(points, dtype=float)
-    # Coordinates in key order: reads at ``b`` stay within neighbouring
+    # Coordinates in key order: partner reads stay within neighbouring
     # cells instead of gathering from all of ``xy``.
-    sx, sy = xy[order, 0], xy[order, 1]
-    pos = np.arange(n, dtype=np.int64)
-    # (first, stop) of each point's partners, in key positions, and the
-    # column offset of the partner's cell.
-    ranges = (
-        (pos + 1, np.searchsorted(keys, keys + 2, "left"), 0),
-        (
-            np.searchsorted(keys, keys + (idx._stride - 1), "left"),
-            np.searchsorted(keys, keys + (idx._stride + 2), "left"),
-            1,
-        ),
-    )
-    out = []
-    for first, stop, col in ranges:
-        counts = stop - first
+    sx, sy = np.take(xy, order, axis=0).T
+    # Distinct cells: the cell number of each key position, the key of
+    # each cell, and ``bound[c] .. bound[c + 1]``, the positions of cell c.
+    new = np.ones(n, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    cell = np.cumsum(new) - 1
+    head = np.flatnonzero(new)
+    ukey = keys[head]
+    bound = np.append(head, n)
+    above = np.zeros(head.size, dtype=bool)
+    above[:-1] = ukey[1:] == ukey[:-1] + 1
+    stop_same = bound[np.arange(head.size) + 1 + above]
+    start_next = bound[np.searchsorted(ukey, ukey + (idx._stride - 1))]
+    stop_next = bound[np.searchsorted(ukey, ukey + (idx._stride + 2))]
+    out = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, n, _PAIR_CHUNK):
+        apex = np.arange(lo, min(lo + _PAIR_CHUNK, n), dtype=np.int64)
+        c = cell[lo : lo + apex.size]
+        # Same-column ranges first, then next-column ranges.
+        first = np.concatenate((apex + 1, start_next[c]))
+        counts = np.concatenate((stop_same[c], stop_next[c])) - first
+        split = int(counts[: apex.size].sum())
         excl = np.cumsum(counts) - counts
-        b = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(first - excl, counts)
-        dx = sx[b] - np.repeat(sx, counts)
-        dy = sy[b] - np.repeat(sy, counts)
+        a = np.repeat(np.concatenate((apex, apex)), counts)
+        b = np.arange(a.size, dtype=np.int64) + np.repeat(first - excl, counts)
+        dx = sx[b] - sx[a]
+        dy = sy[b] - sy[a]
         d2 = dx * dx + dy * dy
         near = d2 <= radius * radius
         if orientations is not None:
             near &= d2 > 0.0  # the apex rule of ``points_in_sector``
         near = np.nonzero(near)[0]
-        a, b, dx, dy = np.repeat(pos, counts)[near], b[near], dx[near], dy[near]
+        col = near >= split
+        a, b, dx, dy = a[near], b[near], dx[near], dy[near]
         if orientations is None:
             fwd = rev = slice(None)
         else:
             fwd = angle_in_arc(dx, dy, st[a], alpha)
             rev = angle_in_arc(-dx, -dy, st[b], alpha)
         # a -> b lies in block ``col + 1`` and b -> a in block ``1 - col``.
-        out.append(((col + 1) * n + order[a[fwd]]) * n + b[fwd])
-        out.append(((1 - col) * n + order[b[rev]]) * n + a[rev])
+        out.append((((col + 1) * n + order[a]) * n + b)[fwd])
+        out.append((((1 - col) * n + order[b]) * n + a)[rev])
     block_i, pos_j = np.divmod(np.sort(np.concatenate(out)), max(n, 1))
     return block_i % n, order[pos_j]

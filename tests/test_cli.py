@@ -120,6 +120,17 @@ class TestSimulate:
             assert rc == 0
         assert (tmp_path / "a/trials.csv").read_bytes() == (tmp_path / "b/trials.csv").read_bytes()
 
+    def test_unwritable_out_is_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = run_cli(
+            "simulate", "--n", "100", "--alpha", "pi", "--mu-target", "1",
+            "--trials", "1", "--out", str(blocker / "sub"),
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error:") and "Not a directory" in err
+
     def test_both_modes_rejected(self, capsys):
         rc = run_cli(
             "simulate", "--n", "100", "--alpha", "pi", "--mu-target", "1",

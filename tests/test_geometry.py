@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sectorgraphs import geometry
 from sectorgraphs.geometry import (
+    _cell_keys,
     Point2,
     Sector,
     TWO_PI,
@@ -280,6 +282,55 @@ class TestGridIndex:
         got = list(zip(gi.tolist(), gj.tolist()))
         assert len(got) == len(set(got))
         assert set(got) == _scan_pairs(pts, radius)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_cell_edge_points())
+    def test_property_index_order_is_stable(self, case):
+        pts, cell, _ = case
+        idx = build_index(pts, cell)
+        keys = _cell_keys(pts, cell, idx._stride)
+        order = np.argsort(keys, kind="stable")
+        assert np.array_equal(idx._order, order)
+        assert np.array_equal(idx._keys, keys[order])
+
+    def test_tiny_cells_keep_stable_order(self):
+        # stride**2 * N >= 2**63: the composite key ``key * N + i`` would
+        # overflow, so the index falls back to a stable argsort.
+        rng = np.random.default_rng(11)
+        pts = rng.random((20, 2))
+        pts[10:15] = pts[:5]
+        pts[15:] = pts[0]
+        idx = build_index(pts, 1e-9)
+        assert idx._stride**2 * len(pts) >= 2**63
+        keys = _cell_keys(pts, 1e-9, idx._stride)
+        order = np.argsort(keys, kind="stable")
+        assert np.array_equal(idx._order, order)
+        assert np.array_equal(idx._keys, keys[order])
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
+    @pytest.mark.parametrize("oriented", [False, True])
+    def test_block_size_does_not_change_output(self, monkeypatch, chunk, oriented):
+        rng = np.random.default_rng(chunk)
+        pts = rng.random((2000, 2))
+        pts = np.concatenate((pts, pts[:150], pts[:20]))
+        theta = rng.random(len(pts)) * TWO_PI if oriented else None
+        idx = build_index(pts, 0.03)
+        want = ordered_pairs_within(idx, pts, 0.03, theta, math.pi)
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        got = ordered_pairs_within(idx, pts, 0.03, theta, math.pi)
+        assert all(np.array_equal(w, g) and w.dtype == g.dtype for w, g in zip(want, got))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
+    def test_small_blocks_match_oracles(self, monkeypatch, chunk):
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        rng = np.random.default_rng(100 + chunk)
+        pts = rng.random((300, 2))
+        pts[290:] = pts[:10]
+        theta = rng.random(300) * TWO_PI
+        idx = build_index(pts, 0.1)
+        assert _index_pairs(pts, 0.1, 0.1) == _scan_pairs(pts, 0.1)
+        gi, gj = ordered_pairs_within(idx, pts, 0.1, theta, 2.0)
+        assert set(zip(gi.tolist(), gj.tolist())) == _apex_scan(pts, theta, 2.0, 0.1)
 
     def test_rejects_orientation_count_mismatch(self):
         pts = np.array([[0.5, 0.5], [0.52, 0.5]])
