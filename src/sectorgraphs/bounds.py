@@ -33,6 +33,7 @@ from .geometry import (
     clipped_sector_areas,
     in_unit_square,
     points_in_sector,
+    sector_points,
     Sector,
 )
 from .model import ModelParams
@@ -138,24 +139,6 @@ def expected_count(
     return pref * float(np.mean(vals)), pref * float(np.std(vals) / math.sqrt(samples))
 
 
-def _sector_point_batch(
-    apex: np.ndarray,
-    elev: np.ndarray,
-    angle: float,
-    radius: float,
-    k: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """(m, k, 2) uniform points of each row's sector."""
-    m = apex.shape[0]
-    rad = radius * np.sqrt(rng.random((m, k)))
-    ang = elev[:, None] + angle * rng.random((m, k))
-    return np.stack(
-        [apex[:, 0, None] + rad * np.cos(ang), apex[:, 1, None] + rad * np.sin(ang)],
-        axis=-1,
-    )
-
-
 def _terms_needed(m_max: float, cap: float, max_terms: int) -> int:
     """Terms of the shared-count summation so the residual ``P(Nc >= n)``
     falls below ``cap``; raises when ``max_terms`` cannot reach it."""
@@ -253,12 +236,12 @@ def _decompose_batch(
         sl = slice(lo, min(lo + _DECOMP_CHUNK, m))
         a1, e1 = apex1[sl], elev1[sl]
         a2, e2 = apex2[sl], elev2[sl]
-        p = _sector_point_batch(a1, e1, angle, radius, samples, rng)
+        p = np.stack(sector_points(a1, e1, angle, radius, samples, rng), axis=-1)
         in_q = in_unit_square(p)
         in_r2 = points_in_sector(a2[:, None, :], e2[:, None], angle, radius, p)
         common[sl] = area_full * np.mean(in_q & in_r2, axis=1)
         only1[sl] = area_full * np.mean(in_q & ~in_r2, axis=1)
-        p = _sector_point_batch(a2, e2, angle, radius, samples, rng)
+        p = np.stack(sector_points(a2, e2, angle, radius, samples, rng), axis=-1)
         in_q = in_unit_square(p)
         in_r1 = points_in_sector(a1[:, None, :], e1[:, None], angle, radius, p)
         only2[sl] = area_full * np.mean(in_q & ~in_r1, axis=1)

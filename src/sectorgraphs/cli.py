@@ -25,9 +25,8 @@ from .bounds import (
 from .config import (
     ConfigError,
     RunConfig,
-    apply_overrides,
     load_config,
-    parse_alpha,
+    parse_field,
     resolve_params,
     serialize_config,
     validate_config,
@@ -43,13 +42,7 @@ from .harness import (
     verify as run_verify,
     write_trials_csv,
 )
-from .theory import (
-    FocusingPrediction,
-    TWO_POINT_CONVENTION,
-    check_regime,
-    poisson_upper_tail,
-    predict,
-)
+from .theory import FocusingPrediction, TWO_POINT_CONVENTION, check_regime, predict
 
 
 def to_jsonable(obj):
@@ -148,19 +141,10 @@ def _selftest_records(pred: FocusingPrediction, trials: int) -> list[TrialRecord
     return records
 
 
-def _force_k(pred: FocusingPrediction, params, k: int) -> FocusingPrediction:
-    xi = poisson_upper_tail(pred.mu, k)
-    a = params.n * (1.0 - params.v) * xi
-    p = math.exp(-a)
-    return FocusingPrediction(mu=pred.mu, j=pred.j, k=k, xi_k=xi, a=a, p_km1=p, p_k=1.0 - p)
-
-
 def cmd_verify(cfg: RunConfig, selftest: bool = False, override_k: int | None = None) -> int:
     validate_config(cfg)
     params0 = resolve_params(cfg, cfg.modes()[0])
-    pred = predict(params0)
-    if override_k is not None:
-        pred = _force_k(pred, params0, override_k)
+    pred = predict(params0, k=override_k)
     out = _out_dir(cfg)
     reports = {}
     if selftest:
@@ -290,35 +274,30 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+_FLAG_HELP = {
+    "alpha": "radians; accepts pi forms like pi/2",
+    "mode": "binomial, poisson or both",
+    "side": "out, in or both",
+    "n_grid": "comma list of n",
+    "r_grid": "comma list of r",
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sectorgraphs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, help="path to key = value config file")
-    common.add_argument("--n", type=int)
-    common.add_argument("--alpha", type=str, help="radians; accepts pi forms like pi/2")
-    common.add_argument("--r", type=float)
-    common.add_argument("--mu-target", dest="mu_target", type=float)
-    common.add_argument("--v", type=float)
-    common.add_argument("--q", type=float)
-    common.add_argument("--mode", choices=["binomial", "poisson", "both"])
-    common.add_argument("--seed", type=int)
-    common.add_argument("--trials", type=int)
-    common.add_argument("--parallelism", type=int)
-    common.add_argument("--out", type=str)
-    common.add_argument("--slack", type=float)
-    common.add_argument("--epsilon", type=float)
-    common.add_argument("--side", choices=["out", "in", "both"])
-    common.add_argument(
-        "--a-set", dest="a_sets", action="append", metavar="DESC",
-        help="degree set, tail:T or set:a,b,c (repeatable)",
-    )
-    common.add_argument("--outer-samples", dest="outer_samples", type=int)
-    common.add_argument("--area-samples", dest="area_samples", type=int)
-    common.add_argument("--ew-samples", dest="ew_samples", type=int)
-    common.add_argument("--trunc-cap", dest="trunc_cap", type=float)
-    common.add_argument("--n-grid", dest="n_grid", type=str, help="comma list of n")
-    common.add_argument("--r-grid", dest="r_grid", type=str, help="comma list of r")
+    # One flag per RunConfig field, read as raw text by the config file's parser.
+    for f in dataclasses.fields(RunConfig):
+        if f.name == "a_sets":
+            common.add_argument(
+                "--a-set", dest="a_sets", action="append", metavar="DESC",
+                help="degree set, tail:T or set:a,b,c (repeatable)",
+            )
+        else:
+            flag = "--" + f.name.replace("_", "-")
+            common.add_argument(flag, dest=f.name, help=_FLAG_HELP.get(f.name))
 
     sub.add_parser("predict", parents=[common])
     sub.add_parser("simulate", parents=[common])
@@ -332,23 +311,18 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The ``--config`` file, or the defaults, with every given flag applied.
+
+    Repeated ``--a-set`` values are read as one comma list.
+    """
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    for key in (
-        "n", "r", "mu_target", "v", "q", "mode", "seed", "trials", "parallelism",
-        "out", "slack", "epsilon", "side", "outer_samples", "area_samples",
-        "ew_samples", "trunc_cap",
-    ):
-        overrides[key] = getattr(args, key, None)
-    if getattr(args, "alpha", None) is not None:
-        overrides["alpha"] = parse_alpha(args.alpha)
-    if getattr(args, "a_sets", None):
-        overrides["a_sets"] = tuple(args.a_sets)
-    if getattr(args, "n_grid", None):
-        overrides["n_grid"] = tuple(int(s) for s in args.n_grid.split(",") if s.strip())
-    if getattr(args, "r_grid", None):
-        overrides["r_grid"] = tuple(float(s) for s in args.r_grid.split(",") if s.strip())
-    return apply_overrides(cfg, overrides)
+    given = {}
+    for f in dataclasses.fields(RunConfig):
+        raw = getattr(args, f.name)
+        if raw is not None:
+            text = ",".join(raw) if isinstance(raw, list) else raw
+            given[f.name] = parse_field(f.name, text)
+    return dataclasses.replace(cfg, **given)
 
 
 def main(argv=None) -> int:

@@ -4,13 +4,23 @@ The file format is one ``key = value`` pair per line, ``#`` comments and
 blank lines ignored. List values (``a_sets``, ``n_grid``, ``r_grid``) are
 comma separated. ``alpha`` accepts plain radians or ``pi`` expressions
 such as ``pi``, ``2pi``, ``pi/2`` or ``0.5pi``.
+
+``a_sets`` holds degree-set descriptors, ``tail:T`` or ``set:a,b,c``, and
+a ``set:`` has commas of its own: a comma-separated token that starts with
+neither ``tail:`` nor ``set:`` continues the descriptor before it, so
+``tail:7,set:0,1`` is ``("tail:7", "set:0,1")``. Tokens are stripped and
+empty ones skipped, so ``set:1, 2`` is read as ``set:1,2``.
+
+``_FIELD_PARSERS`` is the one text reader of every ``RunConfig`` field and
+``_render`` the one writer: the config file, the command-line flags and the
+``config.txt`` a run persists all go through them.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .degree_sets import DegreeSet
 from .model import ModelParams
@@ -67,28 +77,43 @@ class RunConfig:
         return ("binomial", "poisson") if self.mode == "both" else (self.mode,)
 
 
-_INT_FIELDS = {"n", "seed", "trials", "parallelism", "outer_samples", "area_samples", "ew_samples"}
-_FLOAT_FIELDS = {"r", "mu_target", "v", "q", "epsilon", "slack", "trunc_cap"}
-_STR_FIELDS = {"mode", "side", "out"}
+def _split_a_sets(raw: str) -> tuple[str, ...]:
+    descriptors: list[str] = []
+    for token in (s.strip() for s in raw.split(",")):
+        if not token:
+            continue
+        if descriptors and not token.startswith(("tail:", "set:")):
+            descriptors[-1] += "," + token
+        else:
+            descriptors.append(token)
+    return tuple(descriptors)
 
 
-def _parse_value(key: str, raw: str):
+def _comma_list(item):
+    return lambda raw: tuple(item(s) for s in raw.split(",") if s.strip())
+
+
+# One text reader per RunConfig field, in field order.
+_FIELD_PARSERS = {
+    "n": int, "alpha": parse_alpha, "r": float, "mu_target": float, "v": float,
+    "q": float, "mode": str, "seed": int, "trials": int, "parallelism": int,
+    "epsilon": float, "slack": float, "side": str, "a_sets": _split_a_sets,
+    "out": str, "outer_samples": int, "area_samples": int, "ew_samples": int,
+    "trunc_cap": float, "n_grid": _comma_list(int), "r_grid": _comma_list(float),
+}
+
+
+def parse_field(key: str, raw: str):
+    """The value of field ``key`` read from its text form."""
+    if key not in _FIELD_PARSERS:
+        raise ConfigError(f"unknown configuration key {key!r}")
     raw = raw.strip()
-    if key == "alpha":
-        return parse_alpha(raw)
-    if key in _INT_FIELDS:
-        return int(raw)
-    if key in _FLOAT_FIELDS:
-        return float(raw)
-    if key in _STR_FIELDS:
-        return raw
-    if key == "a_sets":
-        return tuple(s.strip() for s in raw.split(",") if s.strip())
-    if key == "n_grid":
-        return tuple(int(s) for s in raw.split(",") if s.strip())
-    if key == "r_grid":
-        return tuple(float(s) for s in raw.split(",") if s.strip())
-    raise ConfigError(f"unknown configuration key {key!r}")
+    try:
+        return _FIELD_PARSERS[key](raw)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{key}: cannot parse {raw!r}") from exc
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -101,16 +126,8 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
-        try:
-            values[key] = _parse_value(key, raw)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{key}: cannot parse {raw.strip()!r}") from exc
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+        values[key] = parse_field(key, raw)
+    return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:
@@ -118,34 +135,24 @@ def load_config(path) -> RunConfig:
         return parse_config_text(fh.read())
 
 
+def _render(val) -> str:
+    if isinstance(val, tuple):
+        return ",".join(_render(v) for v in val)
+    return repr(val) if isinstance(val, float) else str(val)
+
+
 def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; ``parse_config_text`` inverts it exactly."""
+    """Canonical text form; ``parse_config_text`` inverts it exactly.
+
+    Unset fields (``None``, empty tuples) are left out.
+    """
     lines = []
     for f in fields(cfg):
         val = getattr(cfg, f.name)
-        if val is None:
+        if val is None or (isinstance(val, tuple) and not val):
             continue
-        if f.name in ("a_sets",):
-            if not val:
-                continue
-            rendered = ",".join(val)
-        elif f.name in ("n_grid", "r_grid"):
-            if not val:
-                continue
-            rendered = ",".join(repr(v) if isinstance(v, float) else str(v) for v in val)
-        elif isinstance(val, float):
-            rendered = repr(val)
-        else:
-            rendered = str(val)
-        lines.append(f"{f.name} = {rendered}")
+        lines.append(f"{f.name} = {_render(val)}")
     return "\n".join(lines) + "\n"
-
-
-def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
-    clean = {k: v for k, v in overrides.items() if v is not None}
-    if not clean:
-        return cfg
-    return replace(cfg, **clean)
 
 
 def validate_config(cfg: RunConfig, need_radius: bool = True) -> None:
@@ -164,6 +171,9 @@ def validate_config(cfg: RunConfig, need_radius: bool = True) -> None:
         raise ConfigError("slack: must be >= 0")
     if cfg.epsilon <= 0:
         raise ConfigError("epsilon: must be > 0")
+    for name in ("outer_samples", "area_samples", "ew_samples"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name}: must be >= 1")
     if not (0 < cfg.trunc_cap < 1):
         raise ConfigError("trunc_cap: must lie in (0, 1)")
     for descriptor in cfg.a_sets:

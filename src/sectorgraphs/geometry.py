@@ -113,6 +113,22 @@ def in_unit_square(points: np.ndarray) -> np.ndarray:
     )
 
 
+def sector_points(
+    apex_xy: np.ndarray,
+    elevation: np.ndarray,
+    central_angle: float,
+    radius: float,
+    samples: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(x, y)``, each ``(m, samples)``: uniform points of each of ``m``
+    sectors by area-preserving polar sampling (all radii drawn first)."""
+    m = apex_xy.shape[0]
+    rad = radius * np.sqrt(rng.random((m, samples)))
+    ang = elevation[:, None] + central_angle * rng.random((m, samples))
+    return apex_xy[:, 0, None] + rad * np.cos(ang), apex_xy[:, 1, None] + rad * np.sin(ang)
+
+
 def clipped_sector_areas(
     apex_xy: np.ndarray,
     elevation: np.ndarray,
@@ -145,12 +161,7 @@ def clipped_sector_areas(
     idx = np.nonzero(clipped)[0]
     for lo in range(0, idx.size, _AREA_CHUNK):
         rows = idx[lo : lo + _AREA_CHUNK]
-        u = rng.random((rows.size, samples))
-        w = rng.random((rows.size, samples))
-        rad = radius * np.sqrt(u)
-        ang = elev[rows, None] + central_angle * w
-        x = apex[rows, 0, None] + rad * np.cos(ang)
-        y = apex[rows, 1, None] + rad * np.sin(ang)
+        x, y = sector_points(apex[rows], elev[rows], central_angle, radius, samples, rng)
         ok = (x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)
         frac = ok.mean(axis=1)
         areas[rows] = full * frac

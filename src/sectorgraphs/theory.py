@@ -155,14 +155,16 @@ def focusing_index(n: int, v: float, mu: float) -> tuple[int, int]:
     return j, k
 
 
-def predict(params: ModelParams) -> FocusingPrediction:
+def predict(params: ModelParams, k: int | None = None) -> FocusingPrediction:
     """Assemble the two-point prediction for the given parameters.
 
     Applies to the maximum out-degree and in-degree alike, in both
-    point-process modes.
+    point-process modes. A given ``k`` replaces the focusing index in the
+    law (``j`` is still the one computed); ``None`` uses the focusing index.
     """
     mu = mean_degree(params)
-    j, k = focusing_index(params.n, params.v, mu)
+    j, k_focus = focusing_index(params.n, params.v, mu)
+    k = k_focus if k is None else k
     xi_k = poisson_upper_tail(mu, k)
     a = params.n * (1.0 - params.v) * xi_k
     p_km1 = math.exp(-a)

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from sectorgraphs.cli import main
+from sectorgraphs.cli import _build_parser, _config_from_args, main
 from sectorgraphs.config import (
     ConfigError,
     RunConfig,
@@ -16,6 +17,16 @@ from sectorgraphs.config import (
 
 def run_cli(*args):
     return main(list(args))
+
+
+# A non-default text form of every RunConfig field.
+_NON_DEFAULT_TEXT = {
+    "n": "2500", "alpha": "pi/2", "r": "0.05", "mu_target": "1.5", "v": "0.1",
+    "q": "0.2", "mode": "poisson", "seed": "42", "trials": "64", "parallelism": "2",
+    "epsilon": "0.5", "slack": "0.2", "side": "in", "a_sets": "tail:7,set:0,1",
+    "out": "runs/x", "outer_samples": "300", "area_samples": "400",
+    "ew_samples": "500", "trunc_cap": "1e-6", "n_grid": "100,1000", "r_grid": "0.1,0.2",
+}
 
 
 class TestConfig:
@@ -43,6 +54,8 @@ class TestConfig:
         n_grid = 100,1000
         """
         cfg = parse_config_text(text)
+        assert cfg.a_sets == ("tail:7", "set:0,1")
+        validate_config(cfg)
         assert cfg == parse_config_text(serialize_config(cfg))
         # a second serialize is byte-stable
         assert serialize_config(cfg) == serialize_config(parse_config_text(serialize_config(cfg)))
@@ -65,6 +78,26 @@ class TestConfig:
             validate_config(RunConfig(r=0.1, trials=0))
         with pytest.raises(ConfigError, match="a_sets"):
             validate_config(RunConfig(r=0.1, a_sets=("mid:3",)))
+        for name in ("outer_samples", "area_samples", "ew_samples"):
+            with pytest.raises(ConfigError, match=name):
+                validate_config(RunConfig(r=0.1, **{name: 0}))
+
+    def test_degree_sets_with_commas_round_trip(self):
+        cfg = RunConfig(r=0.1, a_sets=("set:1,2", "tail:3", "set:"))
+        text = serialize_config(cfg)
+        assert "a_sets = set:1,2,tail:3,set:\n" in text
+        back = parse_config_text(text)
+        validate_config(back)
+        assert back == cfg
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_flag_and_file_line_agree(self, field):
+        text = _NON_DEFAULT_TEXT[field]
+        flag = "--a-set" if field == "a_sets" else "--" + field.replace("_", "-")
+        from_flag = _config_from_args(_build_parser().parse_args(["predict", flag, text]))
+        from_file = parse_config_text(f"{field} = {text}")
+        assert from_flag == from_file
+        assert getattr(from_file, field) != getattr(RunConfig(), field)
 
 
 class TestPredict:
@@ -82,6 +115,20 @@ class TestPredict:
     def test_missing_radius_source_exits_1(self, capsys):
         assert run_cli("predict", "--n", "100") == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--mode", "bogus", "mode: must be binomial, poisson or both"),
+            ("--side", "up", "side: must be out, in or both"),
+            ("--n", "1e3", "n: cannot parse '1e3'"),
+            ("--v", "tenth", "v: cannot parse 'tenth'"),
+        ],
+    )
+    def test_bad_flag_value_exits_1(self, flag, value, message, capsys):
+        rc = run_cli("predict", "--n", "100", "--mu-target", "1", flag, value)
+        assert rc == 1
+        assert f"config error: {message}" in capsys.readouterr().err
 
     def test_alpha_out_of_range_exits_1(self, capsys):
         rc = run_cli("predict", "--n", "100", "--mu-target", "1", "--alpha", "3pi")
@@ -208,6 +255,35 @@ class TestBound:
         assert rc == 0
         row = json.loads((tmp_path / "report.json").read_text())["bounds"][0]
         assert "empirical_tv" in row and "dominated" in row
+
+    def test_degree_set_with_commas_replays(self, tmp_path, capsys):
+        rc = run_cli(
+            "bound", "--n", "400", "--alpha", "pi", "--mu-target", "1",
+            "--a-set", "set:1,2", "--a-set", "tail:3", "--side", "out",
+            "--outer-samples", "200", "--area-samples", "300", "--ew-samples", "200",
+            "--seed", "2", "--out", str(tmp_path / "first"),
+        )
+        assert rc == 0
+        rc = run_cli(
+            "bound", "--config", str(tmp_path / "first/config.txt"),
+            "--out", str(tmp_path / "replay"),
+        )
+        assert rc == 0
+        first = (tmp_path / "first/report.json").read_bytes()
+        assert first == (tmp_path / "replay/report.json").read_bytes()
+        rows = json.loads(first)["bounds"]
+        assert [row["degree_set"] for row in rows] == ["set:1,2", "tail:3"]
+
+    @pytest.mark.parametrize("flag", ["--outer-samples", "--area-samples", "--ew-samples"])
+    def test_zero_samples_exits_1(self, flag, tmp_path, capsys):
+        rc = run_cli(
+            "bound", "--n", "400", "--alpha", "pi", "--mu-target", "1",
+            "--side", "out", flag, "0", "--out", str(tmp_path),
+        )
+        assert rc == 1
+        assert not (tmp_path / "report.json").exists()
+        name = flag[2:].replace("-", "_")
+        assert f"config error: {name}: must be >= 1" in capsys.readouterr().err
 
     def test_impossible_truncation_budget_exits_3(self, tmp_path, capsys):
         rc = run_cli(

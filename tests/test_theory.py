@@ -182,6 +182,16 @@ class TestPredict:
         values = [n * (1 - v) * xi for v in (0.0, 0.2, 0.4, 0.6)]
         assert values == sorted(values, reverse=True)
 
+    def test_given_focusing_k_reproduces_prediction(self):
+        for n, mu, v in ((500, 0.5, 0.0), (10**4, 1.0, 0.1), (10**5, 2.0, 0.3)):
+            r = radius_for_mean_degree(n, math.pi, v, 0.0, mu)
+            params = ModelParams(n=n, alpha=math.pi, r=r, v=v, q=0.0)
+            pred = predict(params)
+            assert predict(params, k=pred.k) == pred
+            other = predict(params, k=pred.k + 3)
+            assert (other.mu, other.j, other.k) == (pred.mu, pred.j, pred.k + 3)
+            assert other.xi_k == poisson_upper_tail(pred.mu, pred.k + 3)
+
 
 class TestRegime:
     def test_desk_scale_no_warnings(self):
