@@ -17,6 +17,14 @@ counted by the orientation-thinned process of intensity ``lam * alpha/2pi``).
 
 All estimators are plain Monte Carlo with reported standard errors and
 are deterministic given their seeds.
+
+The pair decomposition draws samples for every region pair but uses them
+only where they can matter. When two apexes are more than ``2r`` apart
+and a region's disk lies inside the square (both with a small relative
+margin), every sample of that region lands in the square and outside the
+other region, so its piece fractions are exactly 0 and 1 whatever the
+samples are; those pieces are set directly, with the same bits as
+sampling them.
 """
 
 from __future__ import annotations
@@ -48,6 +56,12 @@ _DOM_BOOT = 0xB04
 # Region pairs per block of ``_decompose_batch`` samples; fixed, so the
 # order of the random draws is too.
 _DECOMP_CHUNK = 128
+
+# Relative margin on the radius in ``_decompose_batch``'s settled-row
+# tests. A sample point lies within ``r`` of its apex up to a few ulps of
+# rounding; the margin is far above that, so no settled row could have
+# sampled any other answer.
+_SETTLE_MARGIN = 1e-9
 
 _SIDES = ("out", "in")
 
@@ -226,25 +240,58 @@ def _decompose_batch(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise three-piece areas for many region pairs (fresh samples per
-    row, so row errors are independent)."""
+    row, so row errors are independent).
+
+    Per block of ``_DECOMP_CHUNK`` rows the draws are the radius uniforms
+    of region 1, its angle uniforms, then the same two for region 2, for
+    every row. Region ``s`` of a row is settled, and its samples unused,
+    when the apexes are more than ``2r`` apart and the disk of radius
+    ``r`` around its apex lies inside the square, both with the relative
+    margin ``_SETTLE_MARGIN`` on ``r``. Then every sample lies in the
+    square and outside the other region, so the sampled fractions would be
+    exactly 0 and 1 (0/1 counts below 2**53 sum exactly), and the row gets
+    ``common = 0`` and ``only_s = area_full`` directly. A sampled row
+    whose apexes are that far apart skips the other-region test, whose
+    every answer would be False.
+    """
     m = apex1.shape[0]
     area_full = 0.5 * angle * radius * radius
+    reach = radius * (1.0 + _SETTLE_MARGIN)
+    apart = np.sum((apex1 - apex2) ** 2, axis=1) > (2.0 * reach) ** 2
     common = np.zeros(m)
-    only1 = np.zeros(m)
-    only2 = np.zeros(m)
+    only1 = np.full(m, area_full)
+    only2 = np.full(m, area_full)
+
+    def sampled(apex):
+        inside = np.all((apex >= reach) & (apex <= 1.0 - reach), axis=1)
+        return ~(apart & inside)
+
+    # Per region: its apexes, the other region's, its own piece, the common
+    # piece (region 1 only) and the rows it samples.
+    regions = (
+        (apex1, elev1, apex2, elev2, only1, common, sampled(apex1)),
+        (apex2, elev2, apex1, elev1, only2, None, sampled(apex2)),
+    )
     for lo in range(0, m, _DECOMP_CHUNK):
         sl = slice(lo, min(lo + _DECOMP_CHUNK, m))
-        a1, e1 = apex1[sl], elev1[sl]
-        a2, e2 = apex2[sl], elev2[sl]
-        p = np.stack(sector_points(a1, e1, angle, radius, samples, rng), axis=-1)
-        in_q = in_unit_square(p)
-        in_r2 = points_in_sector(a2[:, None, :], e2[:, None], angle, radius, p)
-        common[sl] = area_full * np.mean(in_q & in_r2, axis=1)
-        only1[sl] = area_full * np.mean(in_q & ~in_r2, axis=1)
-        p = np.stack(sector_points(a2, e2, angle, radius, samples, rng), axis=-1)
-        in_q = in_unit_square(p)
-        in_r1 = points_in_sector(a1[:, None, :], e1[:, None], angle, radius, p)
-        only2[sl] = area_full * np.mean(in_q & ~in_r1, axis=1)
+        for apex, elev, other_apex, other_elev, only, shared, sampled in regions:
+            pick = np.flatnonzero(sampled[sl])
+            # Draws for every row of the block, points for the sampled ones.
+            pts = sector_points(apex[sl], elev[sl], angle, radius, samples, rng, pick)
+            if not pick.size:
+                continue
+            rows = lo + pick
+            kept = in_unit_square(pts)
+            near = np.flatnonzero(~apart[rows])
+            if near.size:
+                nrows = rows[near]
+                hit = kept[near] & points_in_sector(
+                    other_apex[nrows, None, :], other_elev[nrows, None], angle, radius, pts[near]
+                )
+                if shared is not None:
+                    shared[nrows] = area_full * np.mean(hit, axis=1)
+                kept[near] &= ~hit
+            only[rows] = area_full * np.mean(kept, axis=1)
     return common, only1, only2
 
 

@@ -2,7 +2,9 @@
 
 Commands: ``predict``, ``simulate``, ``verify``, ``bound``, ``sweep``.
 Exit codes: 0 success / verification PASS, 1 configuration or I/O error,
-2 verification FAIL, 3 numeric failure.
+2 verification FAIL, 3 numeric failure. Configuration errors are
+``ConfigError``, ``RadiusOutOfRange`` and ``NoFocusingIndex``; any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -42,7 +44,14 @@ from .harness import (
     verify as run_verify,
     write_trials_csv,
 )
-from .theory import FocusingPrediction, TWO_POINT_CONVENTION, check_regime, predict
+from .theory import (
+    FocusingPrediction,
+    NoFocusingIndex,
+    RadiusOutOfRange,
+    TWO_POINT_CONVENTION,
+    check_regime,
+    predict,
+)
 
 
 def to_jsonable(obj):
@@ -228,6 +237,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("mode: sweep needs a single mode")
     if (cfg.mu_target is None) == (not cfg.r_grid):
         raise ConfigError("sweep needs exactly one of 'mu_target' or 'r_grid'")
+    if cfg.r_grid and len(cfg.r_grid) != len(cfg.n_grid):
+        raise ConfigError("r_grid: must give one radius per n_grid entry")
     base = resolve_params(
         dataclasses.replace(cfg, r=0.01, mu_target=None, n=max(cfg.n_grid)), cfg.mode
     )
@@ -341,7 +352,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ValueError as exc:  # ConfigError included
+    except (ConfigError, RadiusOutOfRange, NoFocusingIndex) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -39,6 +39,8 @@ def parse_alpha(text: str) -> float:
     if m:
         coef = float(m.group(1)) if m.group(1) else 1.0
         div = float(m.group(2)) if m.group(2) else 1.0
+        if div == 0.0:
+            raise ConfigError(f"alpha: division by zero in {text!r}")
         return coef * math.pi / div
     try:
         return float(text)
@@ -132,7 +134,11 @@ def parse_config_text(text: str) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     with open(path) as fh:
-        return parse_config_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not a text file ({exc.reason})") from exc
+    return parse_config_text(text)
 
 
 def _render(val) -> str:
@@ -156,9 +162,23 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def validate_config(cfg: RunConfig, need_radius: bool = True) -> None:
-    """Field-specific validation; raises ConfigError naming the field."""
+    """Field-specific validation; raises ConfigError naming the field.
+
+    An accepted config replays from its ``serialize_config`` text: ``out``
+    may hold no ``#`` (the file's comment mark), no line break and no
+    leading or trailing whitespace, which the file's parser would cut or
+    strip.
+    """
     if need_radius and (cfg.r is None) == (cfg.mu_target is None):
         raise ConfigError("exactly one of 'r' and 'mu_target' must be provided")
+    if cfg.mu_target is not None and not cfg.mu_target > 0:
+        raise ConfigError("mu_target: must be > 0")
+    if cfg.out is not None and (
+        "#" in cfg.out or len(cfg.out.splitlines()) > 1 or cfg.out != cfg.out.strip()
+    ):
+        raise ConfigError(
+            "out: must not contain '#' or a line break, or start or end with whitespace"
+        )
     if cfg.mode not in ("binomial", "poisson", "both"):
         raise ConfigError("mode: must be binomial, poisson or both")
     if cfg.side not in ("out", "in", "both"):

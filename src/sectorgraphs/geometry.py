@@ -90,13 +90,17 @@ def points_in_sector(
 ) -> np.ndarray:
     """Sector membership over the last axis being (x, y).
 
-    ``apex_xy`` and ``points`` broadcast against each other; a point equal
-    to its apex is excluded.
+    ``apex_xy``, ``elevation`` and ``points`` broadcast against each other;
+    a point equal to its apex is excluded. The arc test runs only on the
+    points with ``0 < d2 <= radius**2``, and not at all for the full disk.
     """
     delta = np.asarray(points, dtype=float) - np.asarray(apex_xy, dtype=float)
-    d2 = delta[..., 0] ** 2 + delta[..., 1] ** 2
-    inside = (d2 > 0.0) & (d2 <= radius * radius)
-    return inside & angle_in_arc(delta[..., 0], delta[..., 1], elevation, central_angle)
+    dx, dy, elev = np.broadcast_arrays(delta[..., 0], delta[..., 1], elevation)
+    d2 = dx**2 + dy**2
+    inside = np.asarray((d2 > 0.0) & (d2 <= radius * radius))  # an array even for one point
+    if central_angle < TWO_PI:
+        inside[inside] = angle_in_arc(dx[inside], dy[inside], elev[inside], central_angle)
+    return inside
 
 
 def sector_contains(s: Sector, p: Point2) -> bool:
@@ -120,13 +124,34 @@ def sector_points(
     radius: float,
     samples: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(x, y)``, each ``(m, samples)``: uniform points of each of ``m``
-    sectors by area-preserving polar sampling (all radii drawn first)."""
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """Uniform points of sectors by area-preserving polar sampling.
+
+    Draws ``(m, samples)`` radius uniforms for all ``m`` sectors, then as
+    many angle uniforms, and returns the points of the sectors ``rows``
+    (all by default) as ``(len(rows), samples, 2)``, the last axis being
+    (x, y): distance ``radius * sqrt(u)``, direction ``elevation +
+    central_angle * u'``.
+    """
     m = apex_xy.shape[0]
-    rad = radius * np.sqrt(rng.random((m, samples)))
-    ang = elevation[:, None] + central_angle * rng.random((m, samples))
-    return apex_xy[:, 0, None] + rad * np.cos(ang), apex_xy[:, 1, None] + rad * np.sin(ang)
+    sel = slice(None) if rows is None else rows
+    rad = rng.random((m, samples))[sel]
+    ang = rng.random((m, samples))[sel]
+    np.sqrt(rad, out=rad)
+    rad *= radius
+    ang *= central_angle
+    ang += elevation[sel, None]
+    # x and y are filled as two contiguous planes, then viewed with (x, y)
+    # as the last axis.
+    pts = np.empty((2,) + rad.shape)
+    step = np.cos(ang)
+    step *= rad
+    np.add(apex_xy[sel, 0, None], step, out=pts[0])
+    np.sin(ang, out=step)
+    step *= rad
+    np.add(apex_xy[sel, 1, None], step, out=pts[1])
+    return np.moveaxis(pts, 0, -1)
 
 
 def clipped_sector_areas(
@@ -161,9 +186,8 @@ def clipped_sector_areas(
     idx = np.nonzero(clipped)[0]
     for lo in range(0, idx.size, _AREA_CHUNK):
         rows = idx[lo : lo + _AREA_CHUNK]
-        x, y = sector_points(apex[rows], elev[rows], central_angle, radius, samples, rng)
-        ok = (x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)
-        frac = ok.mean(axis=1)
+        pts = sector_points(apex[rows], elev[rows], central_angle, radius, samples, rng)
+        frac = in_unit_square(pts).mean(axis=1)
         areas[rows] = full * frac
         ses[rows] = full * np.sqrt(frac * (1.0 - frac) / samples)
     return areas, ses

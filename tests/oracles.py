@@ -3,7 +3,9 @@
 ``poisson_tail_mp`` sums the Poisson law term by term in extended
 precision. ``brute_force_graph`` rebuilds a realization from the same
 per-trial stream but derives the arc set by a full O(n^2) pairwise scan,
-with no spatial index involved.
+with no spatial index involved. ``eager_points_in_sector`` runs the arc
+test on every point, and ``sampled_decomposition`` samples every row of
+the bound's pair decomposition, with no settled rows.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import mpmath as mp
 import numpy as np
 
-from sectorgraphs.geometry import TWO_PI
+from sectorgraphs import bounds
+from sectorgraphs.geometry import TWO_PI, angle_in_arc, in_unit_square
 from sectorgraphs.model import ModelParams
 from sectorgraphs.randomness import TrialStream
 
@@ -100,3 +103,46 @@ def chi2_gof(observed: np.ndarray, probs: np.ndarray) -> tuple[float, int]:
     exp_arr = np.array(exp_pool)
     stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
     return stat, max(len(obs_pool) - 1, 1)
+
+
+def eager_points_in_sector(apex_xy, elevation, central_angle, radius, points):
+    """``points_in_sector`` with the arc test on every point, inside the
+    radius or not."""
+    delta = np.asarray(points, dtype=float) - np.asarray(apex_xy, dtype=float)
+    d2 = delta[..., 0] ** 2 + delta[..., 1] ** 2
+    inside = (d2 > 0.0) & (d2 <= radius * radius)
+    return inside & angle_in_arc(delta[..., 0], delta[..., 1], elevation, central_angle)
+
+
+def _all_sector_points(apex_xy, elevation, central_angle, radius, samples, rng):
+    """``(x, y)``, each ``(m, samples)``: every sector's points, all radii
+    drawn first."""
+    m = apex_xy.shape[0]
+    rad = radius * np.sqrt(rng.random((m, samples)))
+    ang = elevation[:, None] + central_angle * rng.random((m, samples))
+    return apex_xy[:, 0, None] + rad * np.cos(ang), apex_xy[:, 1, None] + rad * np.sin(ang)
+
+
+def sampled_decomposition(apex1, elev1, apex2, elev2, angle, radius, samples, rng):
+    """``bounds._decompose_batch`` with every row sampled: per block of
+    ``bounds._DECOMP_CHUNK`` rows, region 1's points against the square and
+    region 2, then region 2's points against the square and region 1."""
+    m = apex1.shape[0]
+    area_full = 0.5 * angle * radius * radius
+    common = np.zeros(m)
+    only1 = np.zeros(m)
+    only2 = np.zeros(m)
+    for lo in range(0, m, bounds._DECOMP_CHUNK):
+        sl = slice(lo, min(lo + bounds._DECOMP_CHUNK, m))
+        a1, e1 = apex1[sl], elev1[sl]
+        a2, e2 = apex2[sl], elev2[sl]
+        p = np.stack(_all_sector_points(a1, e1, angle, radius, samples, rng), axis=-1)
+        in_q = in_unit_square(p)
+        in_r2 = eager_points_in_sector(a2[:, None, :], e2[:, None], angle, radius, p)
+        common[sl] = area_full * np.mean(in_q & in_r2, axis=1)
+        only1[sl] = area_full * np.mean(in_q & ~in_r2, axis=1)
+        p = np.stack(_all_sector_points(a2, e2, angle, radius, samples, rng), axis=-1)
+        in_q = in_unit_square(p)
+        in_r1 = eager_points_in_sector(a1[:, None, :], e1[:, None], angle, radius, p)
+        only2[sl] = area_full * np.mean(in_q & ~in_r1, axis=1)
+    return common, only1, only2

@@ -1,8 +1,14 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import sampled_decomposition
+from sectorgraphs import bounds
 from sectorgraphs.bounds import (
     ArcIndicator,
     JointRegionDecomposition,
@@ -17,7 +23,7 @@ from sectorgraphs.bounds import (
 from sectorgraphs.degree_sets import DegreeSet
 from sectorgraphs.geometry import Point2, Sector, TWO_PI, clipped_area
 from sectorgraphs.model import ModelParams
-from sectorgraphs.theory import poisson_upper_tail, radius_for_mean_degree
+from sectorgraphs.theory import poisson_upper_tail, predict, radius_for_mean_degree
 
 B_OFF = ArcIndicator(present=False, survive_prob=0.8)
 
@@ -108,6 +114,106 @@ class TestDecomposeRegions:
         got = dec.area_common + dec.area_only1
         err = math.sqrt(dec.se_common**2 + dec.se_only1**2 + a1_se**2)
         assert abs(got - a1) <= 4 * err
+
+
+class _EdgeDraws:
+    """Stand-in for ``np.random.Generator`` whose draws put sample points
+    on edges. Draws alternate between radius and angle uniforms; in the
+    first 25 columns of each row a radius draw takes ``EDGES[j % 5]`` and
+    an angle draw ``EDGES[j // 5]``, so every row has points at the apex,
+    at nearly the full radius, and on the arc's edges and quarter lines.
+    The other uniforms are random."""
+
+    EDGES = np.array([0.0, 0.25, 0.5, 0.75, float(np.nextafter(1.0, 0.0))])
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self._calls = 0
+
+    def random(self, size):
+        u = self._rng.random(size)
+        j = np.arange(min(size[-1], 25))
+        u[..., j] = self.EDGES[j // 5 if self._calls % 2 else j % 5]
+        self._calls += 1
+        return u
+
+
+def _near(value: float) -> st.SearchStrategy:
+    """``value`` or one ulp to either side of it."""
+    return st.sampled_from([value, float(np.nextafter(value, -1.0)), float(np.nextafter(value, 2.0))])
+
+
+_AXIS_ANGLE = st.one_of(
+    st.sampled_from([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]),
+    st.floats(0.0, TWO_PI, exclude_max=True),
+)
+
+
+@st.composite
+def _region_pairs(draw):
+    """``(apex1, elev1, apex2, elev2, angle, radius)``: rows with apex
+    coordinates on ``r`` and ``1 - r`` or one ulp off, and the second apex
+    ``2r`` (or one ulp more or less) from the first along an axis, or
+    anywhere within ``3r``."""
+    r = draw(st.floats(0.01, 0.2))
+    angle = draw(st.sampled_from([TWO_PI, math.pi, 1.0]))
+    coord = st.one_of(_near(r), _near(1.0 - r), st.floats(0.0, 1.0))
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        a1 = [draw(coord), draw(coord)]
+        a2 = list(a1)
+        axis = draw(st.integers(0, 1))
+        step = 2.0 * r if a1[axis] + 2.0 * r <= 1.0 else -2.0 * r
+        a2[axis] = draw(st.one_of(_near(a1[axis] + step), st.floats(a1[axis] - 3 * r, a1[axis] + 3 * r)))
+        a2 = [min(max(c, 0.0), 1.0) for c in a2]
+        rows.append((a1, draw(_AXIS_ANGLE), a2, draw(_AXIS_ANGLE)))
+    a1, e1, a2, e2 = (np.array(col, dtype=float) for col in zip(*rows))
+    return a1, e1, a2, e2, angle, r
+
+
+def _margin_case(apex1, elev1, apex2, radius):
+    """Disks whose apexes are ``2r`` apart in floating point, the first's
+    elevation towards the second. The first disk's point at nearly the
+    full radius in that direction rounds to within ``r`` of the second
+    apex, so the row is settled wrongly unless the margin is positive."""
+    return np.array([apex1]), np.array([elev1]), np.array([apex2]), np.zeros(1), TWO_PI, radius
+
+
+class TestSettledRows:
+    """``_decompose_batch`` settles region pairs without sampling them; its
+    three arrays must equal those of sampling every row, bit for bit."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_region_pairs(), st.sampled_from([1, 3]), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(_margin_case([0.1213129721246116, 0.5226966606966107], 0.0,
+                          [0.14830893597403555, 0.5226966606966107], 0.013497981924711971), 1, True, 0)
+    @example(_margin_case([0.7865758645931694, 0.48272695671742], 0.5 * math.pi,
+                          [0.7865758645931694, 0.5396884291906795], 0.02848073623662973), 1, True, 0)
+    @example(_margin_case([0.5852150662912085, 0.7756696441274883], math.pi,
+                          [0.46265794133668975, 0.7756696441274883], 0.061278562477259345), 1, True, 0)
+    @example(_margin_case([0.42602839851629354, 0.5998547056502583], 1.5 * math.pi,
+                          [0.42602839851629354, 0.4868454080506646], 0.05650464879979685), 1, True, 0)
+    def test_equal_to_full_sampling(self, case, chunk, edge_draws, seed):
+        a1, e1, a2, e2, angle, r = case
+        make = _EdgeDraws if edge_draws else np.random.default_rng
+        with mock.patch.object(bounds, "_DECOMP_CHUNK", chunk):
+            got = bounds._decompose_batch(a1, e1, a2, e2, angle, r, 64, make(seed))
+            want = sampled_decomposition(a1, e1, a2, e2, angle, r, 64, make(seed))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_bound_sized_batch_equal_to_full_sampling(self):
+        # tv_bound's own mix of rows, at the default block size.
+        rng = np.random.default_rng(5)
+        r = 0.04
+        a1 = rng.random((700, 2))
+        a2 = np.clip(a1 + 6 * r * (rng.random((700, 2)) - 0.5), 0.0, 1.0)
+        e1, e2 = TWO_PI * rng.random(700), TWO_PI * rng.random(700)
+        for angle in (math.pi, TWO_PI):
+            got = bounds._decompose_batch(a1, e1, a2, e2, angle, r, 300, np.random.default_rng(9))
+            want = sampled_decomposition(a1, e1, a2, e2, angle, r, 300, np.random.default_rng(9))
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
 
 class TestJointCountProb:
@@ -287,3 +393,40 @@ class TestEmpiricalTv:
         with pytest.raises(ValueError):
             empirical_tv([1, 2], 0.0)
         assert 0.0 <= empirical_tv([5, 6, 7], 0.5) <= 1.0
+
+
+# ``float.hex`` of every float of two small reports, computed before the
+# pair decomposition settled any rows.
+_PINNED_REPORTS = {
+    "out": {
+        "ew": "0x1.8de30375623fdp+0", "ew_se": "0x1.b0609495c3fcep-7",
+        "i1": "0x1.c922bfa8a0b06p-4", "i1_se": "0x1.070e990fbdd90p-8",
+        "i2": "0x1.295372ee1d8dep+0", "i2_se": "0x1.1cc388c2696e8p-2",
+        "truncation_error": "0x1.2ed8000000000p-37",
+        "bound_raw": "0x1.a35d16f60c6b2p-1", "bound": "0x1.a35d16f60c6b2p-1",
+        "bound_se": "0x1.6ebf92f2c252cp-3",
+    },
+    "in": {
+        "ew": "0x1.813eb203d043cp+0", "ew_se": "0x1.096eca99fa066p-6",
+        "i1": "0x1.bfcaf9efe7cc3p-4", "i1_se": "0x1.074e27440c351p-8",
+        "i2": "0x1.771817bf1e639p+1", "i2_se": "0x1.3ab7d20c836f4p-1",
+        "truncation_error": "0x1.7bbc300000000p-32",
+        "bound_raw": "0x1.028db528cca87p+1", "bound": "0x1.0000000000000p+0",
+        "bound_se": "0x1.a2de8bb1bf8bap-2",
+    },
+}
+
+
+@pytest.mark.parametrize("side", ["out", "in"])
+def test_tv_bound_is_pinned(side):
+    r = radius_for_mean_degree(500, math.pi, 0.1, 0.2, 1.0)
+    params = ModelParams(n=500, alpha=math.pi, r=r, v=0.1, q=0.2, mode="poisson", master_seed=7)
+    ds = DegreeSet.upper_tail(predict(params).k)
+    assert ds.descriptor() == "tail:5"
+    rep = tv_bound(params, ds, side, outer_samples=400, area_samples=500, ew_samples=600)
+    got = {
+        f.name: getattr(rep, f.name).hex()
+        for f in dataclasses.fields(rep)
+        if isinstance(getattr(rep, f.name), float)
+    }
+    assert got == _PINNED_REPORTS[side]

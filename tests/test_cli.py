@@ -3,7 +3,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sectorgraphs import cli
 from sectorgraphs.cli import _build_parser, _config_from_args, main
 from sectorgraphs.config import (
     ConfigError,
@@ -99,6 +102,26 @@ class TestConfig:
         assert from_flag == from_file
         assert getattr(from_file, field) != getattr(RunConfig(), field)
 
+    @pytest.mark.parametrize("out", ["runs#1", "a\nb", "a\rb", " runs", "runs\t", "runs\n"])
+    def test_out_that_cannot_round_trip_rejected(self, out):
+        with pytest.raises(ConfigError, match="^out: "):
+            validate_config(RunConfig(r=0.1, out=out))
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.text(alphabet=st.sampled_from("ab #=/\t\n\r\x85\u2028."), max_size=8))
+    def test_accepted_out_replays(self, out):
+        cfg = RunConfig(r=0.1, out=out)
+        try:
+            validate_config(cfg)
+        except ConfigError:
+            return
+        assert parse_config_text(serialize_config(cfg)) == cfg
+
+    def test_nonpositive_mu_target_rejected(self):
+        for mu in (0.0, -1.0, math.nan):
+            with pytest.raises(ConfigError, match="^mu_target: "):
+                validate_config(RunConfig(mu_target=mu))
+
 
 class TestPredict:
     def test_worked_prediction(self, capsys):
@@ -129,6 +152,35 @@ class TestPredict:
         rc = run_cli("predict", "--n", "100", "--mu-target", "1", flag, value)
         assert rc == 1
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--mu-target", "-1"], "mu_target: must be > 0"),
+            (["--mu-target", "1", "--alpha", "pi/0"], "alpha: division by zero"),
+            (["--mu-target", "1", "--out", "runs#1"], "out: must not contain '#'"),
+            (["--mu-target", "200"], "mu_target 200.0 needs r ="),  # RadiusOutOfRange
+            (["--r", "0.1", "--v", "0.999"], "n*(1-v) = 0.1 must exceed 1"),  # NoFocusingIndex
+        ],
+    )
+    def test_user_input_errors_exit_1(self, args, message, capsys):
+        assert run_cli("predict", "--n", "100", *args) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_config_file_not_text_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.txt"
+        path.write_bytes(b"n = 100\nmu_target = \xff\n")
+        assert run_cli("predict", "--config", str(path)) == 1
+        assert "config error: " in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_a_config_error(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("internal invariant broken")
+
+        monkeypatch.setattr(cli, "predict", broken)
+        with pytest.raises(ValueError, match="internal invariant broken"):
+            run_cli("predict", "--n", "100", "--mu-target", "1")
+        assert "config error" not in capsys.readouterr().err
 
     def test_alpha_out_of_range_exits_1(self, capsys):
         rc = run_cli("predict", "--n", "100", "--mu-target", "1", "--alpha", "3pi")
@@ -339,6 +391,11 @@ class TestSweep:
         rows = (tmp_path / "summary.csv").read_text().splitlines()
         verdicts = [row.split(",")[-1] for row in rows]
         assert verdicts[1].startswith("ERROR:") and verdicts[2] == "PASS"
+
+    def test_misaligned_radius_grid_exits_1(self, capsys):
+        rc = run_cli("sweep", "--n-grid", "100,200", "--r-grid", "0.1", "--trials", "2")
+        assert rc == 1
+        assert "config error: r_grid: " in capsys.readouterr().err
 
     def test_empty_grid_exits_1(self, capsys):
         rc = run_cli("sweep", "--alpha", "pi", "--mu-target", "1")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import eager_points_in_sector
 from sectorgraphs import geometry
 from sectorgraphs.geometry import (
     _cell_keys,
@@ -171,6 +172,50 @@ class TestSectorContains:
                     rel = (mp.atan2(dy, dx) - mp.mpf(elev)) % two_pi_mp
                     expected = rel < mp.mpf(width)
                 assert got == expected
+
+
+# (apex, elevation, points) shapes: one apex against many points, the
+# pair decomposition's rows of samples, tv_bound's point pairs, an
+# elevation that widens the result, one point, and apexes against shared
+# points.
+_BROADCAST_SHAPES = [
+    ((2,), (), (40, 2)),
+    ((5, 1, 2), (5, 1), (5, 30, 2)),
+    ((40, 2), (40,), (40, 2)),
+    ((2,), (3, 1), (20, 2)),
+    ((2,), (), (2,)),
+    ((4, 1, 2), (), (1, 25, 2)),
+]
+
+
+class TestLazyArcTest:
+    """``points_in_sector`` runs the arc test only inside the radius; the
+    result must equal running it on every point."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(_BROADCAST_SHAPES), _ALPHA, st.floats(1e-3, 0.5), st.integers(0, 2**32 - 1))
+    def test_matches_eager(self, shapes, alpha, radius, seed):
+        apex_shape, elev_shape, points_shape = shapes
+        rng = np.random.default_rng(seed)
+        apex = rng.random(apex_shape)
+        elev = rng.choice([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, TWO_PI * rng.random()], elev_shape)
+        # Points on their apex, at exactly the radius along an axis, or
+        # anywhere within 1.5 radii.
+        center = np.broadcast_to(apex.reshape((-1, 2))[0], points_shape)
+        if np.broadcast_shapes(apex_shape, points_shape) == points_shape:
+            center = np.broadcast_to(apex, points_shape)
+        kind = rng.integers(0, 3, points_shape[:-1])
+        axis = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        step = np.where(
+            (kind == 1)[..., None],
+            radius * axis[rng.integers(0, 4, points_shape[:-1])],
+            1.5 * radius * (2.0 * rng.random(points_shape) - 1.0),
+        )
+        points = center + np.where((kind == 0)[..., None], 0.0, step)
+        got = points_in_sector(apex, elev, alpha, radius, points)
+        want = eager_points_in_sector(apex, elev, alpha, radius, points)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
 
 
 class TestClippedArea:
