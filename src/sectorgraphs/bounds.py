@@ -25,6 +25,13 @@ margin), every sample of that region lands in the square and outside the
 other region, so its piece fractions are exactly 0 and 1 whatever the
 samples are; those pieces are set directly, with the same bits as
 sampling them.
+
+Threads: the clipped areas and the pair decomposition make every random
+draw on the calling thread, in a fixed order and in fixed blocks. Only
+then is a block's per-row work split into contiguous, disjoint row parts,
+one per CPU, which run at the same time and each write only their own
+rows. Every row's result is an exact 0/1 count over its own samples, so
+the bits do not depend on the number of parts.
 """
 
 from __future__ import annotations
@@ -39,8 +46,10 @@ from .degree_sets import DegreeSet, _poisson_pmf, poisson_upper_tail_vec
 from .geometry import (
     TWO_PI,
     clipped_sector_areas,
+    draw_sector_uniforms,
     in_unit_square,
     points_in_sector,
+    row_parts,
     sector_points,
     Sector,
 )
@@ -253,6 +262,13 @@ def _decompose_batch(
     ``common = 0`` and ``only_s = area_full`` directly. A sampled row
     whose apexes are that far apart skips the other-region test, whose
     every answer would be False.
+
+    Threads: each region's draws of a block are made on the calling
+    thread; then ``row_parts`` splits its sampled rows into disjoint row
+    ranges, each turned into points and tested against the square and the
+    other region at the same time. A part writes only its own rows, and
+    each row's pieces are exact 0/1 counts over that row's samples, so the
+    result does not depend on the number of parts.
     """
     m = apex1.shape[0]
     area_full = 0.5 * angle * radius * radius
@@ -272,26 +288,33 @@ def _decompose_batch(
         (apex1, elev1, apex2, elev2, only1, common, sampled(apex1)),
         (apex2, elev2, apex1, elev1, only2, None, sampled(apex2)),
     )
-    for lo in range(0, m, _DECOMP_CHUNK):
-        sl = slice(lo, min(lo + _DECOMP_CHUNK, m))
-        for apex, elev, other_apex, other_elev, only, shared, sampled in regions:
-            pick = np.flatnonzero(sampled[sl])
-            # Draws for every row of the block, points for the sampled ones.
-            pts = sector_points(apex[sl], elev[sl], angle, radius, samples, rng, pick)
-            if not pick.size:
-                continue
-            rows = lo + pick
-            kept = in_unit_square(pts)
-            near = np.flatnonzero(~apart[rows])
-            if near.size:
-                nrows = rows[near]
-                hit = kept[near] & points_in_sector(
-                    other_apex[nrows, None, :], other_elev[nrows, None], angle, radius, pts[near]
-                )
-                if shared is not None:
-                    shared[nrows] = area_full * np.mean(hit, axis=1)
-                kept[near] &= ~hit
-            only[rows] = area_full * np.mean(kept, axis=1)
+    with row_parts() as run:
+        for lo in range(0, m, _DECOMP_CHUNK):
+            hi = min(lo + _DECOMP_CHUNK, m)
+            for apex, elev, other_apex, other_elev, only, shared, sampled in regions:
+                # Draws for every row of the block, kept for the sampled ones.
+                rows = lo + np.flatnonzero(sampled[lo:hi])
+                rad, planes = draw_sector_uniforms(hi - lo, samples, rng, rows - lo)
+                own_apex, own_elev = apex[rows], elev[rows]
+
+                def work(part):
+                    pts = sector_points(own_apex, own_elev, angle, radius, rad, planes, part)
+                    kept = in_unit_square(pts)
+                    part_rows = rows[part]
+                    near = np.flatnonzero(~apart[part_rows])
+                    if near.size:
+                        nrows = part_rows[near]
+                        hit = kept[near] & points_in_sector(
+                            other_apex[nrows, None, :], other_elev[nrows, None],
+                            angle, radius, pts[near],
+                        )
+                        if shared is not None:
+                            shared[nrows] = area_full * np.mean(hit, axis=1)
+                        kept[near] &= ~hit
+                    only[part_rows] = area_full * np.mean(kept, axis=1)
+
+                if rows.size:
+                    run(work, rows.size)
     return common, only1, only2
 
 

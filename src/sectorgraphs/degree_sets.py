@@ -104,10 +104,14 @@ class DegreeSet:
 
     @classmethod
     def parse(cls, text: str) -> "DegreeSet":
-        """Inverse of ``descriptor``: ``tail:T`` or ``set:a,b,c`` (``set:`` is empty)."""
+        """Inverse of ``descriptor``: ``tail:T`` with ``T >= 0``, or ``set:a,b,c``
+        (``set:`` is empty)."""
         text = text.strip()
         if text.startswith("tail:"):
-            return cls.upper_tail(int(text[5:]))
+            threshold = int(text[5:])
+            if threshold < 0:
+                raise ValueError(f"negative tail threshold in degree-set descriptor {text!r}")
+            return cls.upper_tail(threshold)
         if text.startswith("set:"):
             body = text[4:].strip()
             return cls.finite(int(v) for v in body.split(",") if v != "")

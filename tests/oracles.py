@@ -123,6 +123,27 @@ def _all_sector_points(apex_xy, elevation, central_angle, radius, samples, rng):
     return apex_xy[:, 0, None] + rad * np.cos(ang), apex_xy[:, 1, None] + rad * np.sin(ang)
 
 
+def sampled_clipped_areas(apex_xy, elevation, central_angle, radius, samples, rng, chunk):
+    """``geometry.clipped_sector_areas`` by the old one-step point formula:
+    per block of ``chunk`` clipped rows, the points of every row, then
+    their fraction in the square."""
+    full = 0.5 * central_angle * radius * radius
+    areas = np.full(len(apex_xy), full)
+    ses = np.zeros(len(apex_xy))
+    interior = np.all((apex_xy >= radius) & (apex_xy <= 1.0 - radius), axis=1)
+    idx = np.flatnonzero(~interior)
+    for lo in range(0, idx.size, chunk):
+        rows = idx[lo : lo + chunk]
+        p = np.stack(
+            _all_sector_points(apex_xy[rows], elevation[rows], central_angle, radius, samples, rng),
+            axis=-1,
+        )
+        frac = in_unit_square(p).mean(axis=1)
+        areas[rows] = full * frac
+        ses[rows] = full * np.sqrt(frac * (1.0 - frac) / samples)
+    return areas, ses
+
+
 def sampled_decomposition(apex1, elev1, apex2, elev2, angle, radius, samples, rng):
     """``bounds._decompose_batch`` with every row sampled: per block of
     ``bounds._DECOMP_CHUNK`` rows, region 1's points against the square and

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import sampled_decomposition
-from sectorgraphs import bounds
+from oracles import sampled_clipped_areas, sampled_decomposition
+from sectorgraphs import bounds, geometry
 from sectorgraphs.bounds import (
     ArcIndicator,
     JointRegionDecomposition,
@@ -22,6 +24,7 @@ from sectorgraphs.bounds import (
 )
 from sectorgraphs.degree_sets import DegreeSet
 from sectorgraphs.geometry import Point2, Sector, TWO_PI, clipped_area
+from sectorgraphs.harness import run_trials
 from sectorgraphs.model import ModelParams
 from sectorgraphs.theory import poisson_upper_tail, predict, radius_for_mean_degree
 
@@ -130,9 +133,9 @@ class _EdgeDraws:
         self._rng = np.random.default_rng(seed)
         self._calls = 0
 
-    def random(self, size):
-        u = self._rng.random(size)
-        j = np.arange(min(size[-1], 25))
+    def random(self, size=None, out=None):
+        u = self._rng.random(size, out=out)
+        j = np.arange(min(u.shape[-1], 25))
         u[..., j] = self.EDGES[j // 5 if self._calls % 2 else j % 5]
         self._calls += 1
         return u
@@ -214,6 +217,88 @@ class TestSettledRows:
             want = sampled_decomposition(a1, e1, a2, e2, angle, r, 300, np.random.default_rng(9))
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
+
+
+class TestRowParts:
+    """The pair decomposition draws on the calling thread and splits each
+    block's sampled rows into one part per CPU; the bits must not depend
+    on the number of parts."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, bounds._DECOMP_CHUNK])
+    def test_decomposition_independent_of_workers(self, monkeypatch, chunk):
+        rng = np.random.default_rng(chunk)
+        r = 0.05
+        a1 = rng.random((300, 2))
+        a2 = np.clip(a1 + 6 * r * (rng.random((300, 2)) - 0.5), 0.0, 1.0)
+        e1, e2 = TWO_PI * rng.random(300), TWO_PI * rng.random(300)
+        monkeypatch.setattr(bounds, "_DECOMP_CHUNK", chunk)
+        for angle in (1.0, TWO_PI):
+            want = sampled_decomposition(a1, e1, a2, e2, angle, r, 77, np.random.default_rng(3))
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(geometry, "_cpu_count", lambda: cpus)
+                got = bounds._decompose_batch(a1, e1, a2, e2, angle, r, 77, np.random.default_rng(3))
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_more_parts_than_cores_with_frequent_switches(self, monkeypatch):
+        # Eight parts on at most a few cores, switching threads every
+        # microsecond: a row lost or written twice changes the arrays.
+        rng = np.random.default_rng(12)
+        r = 0.08
+        a1 = rng.random((200, 2))
+        a2 = np.clip(a1 + 6 * r * (rng.random((200, 2)) - 0.5), 0.0, 1.0)
+        e1, e2 = TWO_PI * rng.random(200), TWO_PI * rng.random(200)
+        want_dec = sampled_decomposition(a1, e1, a2, e2, 2.0, r, 50, np.random.default_rng(1))
+        want_areas = sampled_clipped_areas(a1, e1, 2.0, r, 50, np.random.default_rng(2), geometry._AREA_CHUNK)
+        monkeypatch.setattr(geometry, "_cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got_dec = bounds._decompose_batch(a1, e1, a2, e2, 2.0, r, 50, np.random.default_rng(1))
+            got_areas = geometry.clipped_sector_areas(a1, e1, 2.0, r, 50, np.random.default_rng(2))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, w) for g, w in zip(got_dec, want_dec))
+        assert all(np.array_equal(g, w) for g, w in zip(got_areas, want_areas))
+
+    def test_tv_bound_independent_of_workers(self, monkeypatch, small_config):
+        ds = DegreeSet.upper_tail(5)
+        reports = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(geometry, "_cpu_count", lambda: cpus)
+            reports.append(
+                [tv_bound(small_config, ds, side, outer_samples=300, area_samples=301,
+                          ew_samples=300) for side in ("out", "in")]
+            )
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_no_thread_outlives_the_bound(self, monkeypatch, small_config):
+        monkeypatch.setattr(geometry, "_cpu_count", lambda: 3)
+        threads = threading.active_count()
+        tv_bound(small_config, DegreeSet.upper_tail(5), "out",
+                 outer_samples=200, area_samples=200, ew_samples=200)
+        assert threading.active_count() == threads
+
+    def test_fork_after_bound(self, small_config):
+        tv_bound(small_config, DegreeSet.upper_tail(5), "in",
+                 outer_samples=200, area_samples=200, ew_samples=200)
+        params = ModelParams(n=300, alpha=math.pi, r=0.08, v=0.1, q=0.2, master_seed=4)
+        assert run_trials(params, 8, parallelism=2) == run_trials(params, 8)
+
+    def test_helper_error_propagates(self, monkeypatch, small_config):
+        real = bounds.sector_points
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper part failed")
+            return real(*args)
+
+        monkeypatch.setattr(geometry, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(bounds, "sector_points", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper part failed"):
+            tv_bound(small_config, DegreeSet.upper_tail(5), "out",
+                     outer_samples=200, area_samples=200, ew_samples=200)
+        assert threading.active_count() == threads
 
 
 class TestJointCountProb:

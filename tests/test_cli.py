@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sectorgraphs import cli
 from sectorgraphs.cli import _build_parser, _config_from_args, main
+from sectorgraphs.degree_sets import DegreeSet
 from sectorgraphs.config import (
     ConfigError,
     RunConfig,
@@ -84,6 +85,15 @@ class TestConfig:
         for name in ("outer_samples", "area_samples", "ew_samples"):
             with pytest.raises(ConfigError, match=name):
                 validate_config(RunConfig(r=0.1, **{name: 0}))
+
+    def test_negative_tail_rejected(self):
+        with pytest.raises(ValueError, match="tail:-1"):
+            DegreeSet.parse("tail:-1")
+        with pytest.raises(ConfigError, match="a_sets: .*tail:-1"):
+            validate_config(RunConfig(r=0.1, a_sets=("tail:-1",)))
+        assert DegreeSet.parse("tail:0") == DegreeSet.all()
+        assert DegreeSet.upper_tail(-1) == DegreeSet.all()
+        validate_config(RunConfig(r=0.1, a_sets=("tail:0",)))
 
     def test_degree_sets_with_commas_round_trip(self):
         cfg = RunConfig(r=0.1, a_sets=("set:1,2", "tail:3", "set:"))
@@ -336,6 +346,16 @@ class TestBound:
         assert not (tmp_path / "report.json").exists()
         name = flag[2:].replace("-", "_")
         assert f"config error: {name}: must be >= 1" in capsys.readouterr().err
+
+    def test_negative_tail_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        rc = run_cli(
+            "bound", "--n", "400", "--alpha", "pi", "--mu-target", "1",
+            "--a-set", "tail:-1", "--out", str(out),
+        )
+        assert rc == 1
+        assert not out.exists()
+        assert "config error: a_sets:" in capsys.readouterr().err
 
     def test_impossible_truncation_budget_exits_3(self, tmp_path, capsys):
         rc = run_cli(

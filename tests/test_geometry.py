@@ -1,4 +1,5 @@
 import math
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import eager_points_in_sector
+from oracles import eager_points_in_sector, sampled_clipped_areas
 from sectorgraphs import geometry
 from sectorgraphs.geometry import (
     _cell_keys,
@@ -16,6 +17,7 @@ from sectorgraphs.geometry import (
     angle_in_arc,
     build_index,
     clipped_area,
+    clipped_sector_areas,
     ordered_pairs_within,
     points_in_sector,
     sector_contains,
@@ -260,6 +262,32 @@ class TestClippedArea:
         assert abs(full - total) <= 4.0 * combined
 
 
+class TestRowParts:
+    """``clipped_sector_areas`` draws on the calling thread and splits each
+    block's rows into one part per CPU; the bits must not depend on the
+    number of parts, also when a block has fewer rows than parts."""
+
+    @pytest.mark.parametrize("chunk", [2, 5, 512])
+    def test_independent_of_workers(self, monkeypatch, chunk):
+        rng = np.random.default_rng(chunk)
+        apex = rng.random((301, 2))
+        elev = TWO_PI * rng.random(301)
+        monkeypatch.setattr(geometry, "_AREA_CHUNK", chunk)
+        want = sampled_clipped_areas(apex, elev, 2.5, 0.2, 101, np.random.default_rng(8), chunk)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(geometry, "_cpu_count", lambda: cpus)
+            got = clipped_sector_areas(apex, elev, 2.5, 0.2, 101, np.random.default_rng(8))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_one_row_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_cpu_count", lambda: 2)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        clipped_area(Sector.disk(Point2(0.0, 0.0), 0.1), samples=100)
+        assert started == []
+
+
 class TestGridIndex:
     def test_empty(self):
         pts = np.empty((0, 2))
@@ -376,6 +404,27 @@ class TestGridIndex:
         assert _index_pairs(pts, 0.1, 0.1) == _scan_pairs(pts, 0.1)
         gi, gj = ordered_pairs_within(idx, pts, 0.1, theta, 2.0)
         assert set(zip(gi.tolist(), gj.tolist())) == _apex_scan(pts, theta, 2.0, 0.1)
+
+    @pytest.mark.parametrize("alpha", [None, 2.0])
+    def test_last_columns_match_oracles(self, alpha):
+        # Every occupied cell lies in the grid's last columns and top rows,
+        # so the scan for the next column's cells runs past the last
+        # distinct key into the sentinel.
+        rng = np.random.default_rng(17)
+        corner = [(x, y) for x in (0.85, 0.9, 0.95, 0.999, 1.0) for y in (0.8, 0.9, 0.95, 1.0)]
+        pts = np.concatenate((np.array(corner), 0.8 + 0.2 * rng.random((40, 2))))
+        theta = None if alpha is None else rng.random(len(pts)) * TWO_PI
+        idx = build_index(pts, 0.1)
+        gi, gj = ordered_pairs_within(idx, pts, 0.1, theta, alpha or TWO_PI)
+        got = list(zip(gi.tolist(), gj.tolist()))
+        assert len(got) == len(set(got))
+        want = _scan_pairs(pts, 0.1) if alpha is None else _apex_scan(pts, theta, alpha, 0.1)
+        assert set(got) == want
+        column = np.floor(pts[:, 0] / 0.1).astype(np.int64)
+        key_pos = np.empty(idx.count, dtype=np.int64)
+        key_pos[idx._order] = np.arange(idx.count)
+        sort_key = list(zip((column[gj] - column[gi]).tolist(), gi.tolist(), key_pos[gj].tolist()))
+        assert sort_key == sorted(sort_key)
 
     def test_rejects_orientation_count_mismatch(self):
         pts = np.array([[0.5, 0.5], [0.52, 0.5]])
