@@ -15,23 +15,9 @@ probability is evaluated exactly from the three-piece area decomposition
 of the two regions (out side: the two sectors; in side: the two disks,
 counted by the orientation-thinned process of intensity ``lam * alpha/2pi``).
 
-All estimators are plain Monte Carlo with reported standard errors and
-are deterministic given their seeds.
-
-The pair decomposition draws samples for every region pair but uses them
-only where they can matter. When two apexes are more than ``2r`` apart
-and a region's disk lies inside the square (both with a small relative
-margin), every sample of that region lands in the square and outside the
-other region, so its piece fractions are exactly 0 and 1 whatever the
-samples are; those pieces are set directly, with the same bits as
-sampling them.
-
-Threads: the clipped areas and the pair decomposition make every random
-draw on the calling thread, in a fixed order and in fixed blocks. Only
-then is a block's per-row work split into contiguous, disjoint row parts,
-one per CPU, which run at the same time and each write only their own
-rows. Every row's result is an exact 0/1 count over its own samples, so
-the bits do not depend on the number of parts.
+The region areas are exact (``geometry.intersection_areas``). The outer
+integrals over locations and orientations are plain Monte Carlo with
+reported standard errors, deterministic given their seeds.
 """
 
 from __future__ import annotations
@@ -45,13 +31,11 @@ import numpy as np
 from .degree_sets import DegreeSet, _poisson_pmf, poisson_upper_tail_vec
 from .geometry import (
     TWO_PI,
-    clipped_sector_areas,
-    draw_sector_uniforms,
-    in_unit_square,
-    points_in_sector,
-    row_parts,
-    sector_points,
     Sector,
+    clipped_sector_areas,
+    in_unit_square,
+    intersection_areas,
+    points_in_sector,
 )
 from .model import ModelParams
 from .randomness import derive_key, substream
@@ -59,18 +43,7 @@ from .theory import poisson_upper_tail_log
 
 _DOM_EW = 0xB01
 _DOM_TV = 0xB02
-_DOM_DECOMP = 0xB03
 _DOM_BOOT = 0xB04
-
-# Region pairs per block of ``_decompose_batch`` samples; fixed, so the
-# order of the random draws is too.
-_DECOMP_CHUNK = 128
-
-# Relative margin on the radius in ``_decompose_batch``'s settled-row
-# tests. A sample point lies within ``r`` of its apex up to a few ulps of
-# rounding; the margin is far above that, so no settled row could have
-# sampled any other answer.
-_SETTLE_MARGIN = 1e-9
 
 _SIDES = ("out", "in")
 
@@ -100,9 +73,6 @@ class JointRegionDecomposition:
     area_common: float
     area_only1: float
     area_only2: float
-    se_common: float
-    se_only1: float
-    se_only2: float
 
 
 @dataclass
@@ -126,6 +96,12 @@ def _check_side(side: str) -> None:
         raise ValueError("side must be 'out' or 'in'")
 
 
+def _check_samples(**counts: int) -> None:
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
+
+
 def _seed_for(params: ModelParams, domain: int, side: str, degree_set: DegreeSet) -> int:
     tag = zlib.crc32(degree_set.descriptor().encode())
     return derive_key(params.master_seed, domain, _SIDES.index(side), tag)
@@ -136,16 +112,17 @@ def expected_count(
     degree_set: DegreeSet,
     side: str,
     samples: int = 20_000,
-    area_samples: int = 20_000,
     seed: int | None = None,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of ``E W`` with its standard error.
 
     Out side: ``(1-v) * lam * E_{x,y} P[Poi(lam*(1-q)*(1-v)*|S(x,y,r) ∩ Q|) in A]``.
     In side: the sector area is replaced by ``(alpha/2pi) * |B(x,r) ∩ Q|``
-    and there is no orientation average.
+    and there is no orientation average. The areas are exact; the
+    average over ``samples`` locations (and orientations) is Monte Carlo.
     """
     _check_side(side)
+    _check_samples(samples=samples)
     if seed is None:
         seed = _seed_for(params, _DOM_EW, side, degree_set)
     rng = substream(seed)
@@ -156,7 +133,7 @@ def expected_count(
         angle, elev, lam_eff = params.alpha, TWO_PI * rng.random(samples), thin
     else:
         angle, elev, lam_eff = TWO_PI, np.zeros(samples), thin * (params.alpha / TWO_PI)
-    areas, _ = clipped_sector_areas(x, elev, angle, params.r, area_samples, rng)
+    areas = clipped_sector_areas(x, elev, angle, params.r)
     vals = degree_set.poisson_prob(lam_eff * areas)
     pref = (1.0 - params.v) * lam
     return pref * float(np.mean(vals)), pref * float(np.std(vals) / math.sqrt(samples))
@@ -239,125 +216,43 @@ def joint_count_prob(
 
 
 def _decompose_batch(
-    apex1: np.ndarray,
-    elev1: np.ndarray,
-    apex2: np.ndarray,
-    elev2: np.ndarray,
-    angle: float,
-    radius: float,
-    samples: int,
-    rng: np.random.Generator,
+    region1: tuple, region2: tuple, radius: float, areas1: np.ndarray, areas2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise three-piece areas for many region pairs (fresh samples per
-    row, so row errors are independent).
+    """Row-wise exact three-piece areas for many region pairs, given each
+    region's clipped area. A region is ``(apexes, elevations, angle)``,
+    as in ``intersection_areas``.
 
-    Per block of ``_DECOMP_CHUNK`` rows the draws are the radius uniforms
-    of region 1, its angle uniforms, then the same two for region 2, for
-    every row. Region ``s`` of a row is settled, and its samples unused,
-    when the apexes are more than ``2r`` apart and the disk of radius
-    ``r`` around its apex lies inside the square, both with the relative
-    margin ``_SETTLE_MARGIN`` on ``r``. Then every sample lies in the
-    square and outside the other region, so the sampled fractions would be
-    exactly 0 and 1 (0/1 counts below 2**53 sum exactly), and the row gets
-    ``common = 0`` and ``only_s = area_full`` directly. A sampled row
-    whose apexes are that far apart skips the other-region test, whose
-    every answer would be False.
-
-    Threads: each region's draws of a block are made on the calling
-    thread; then ``row_parts`` splits its sampled rows into disjoint row
-    ranges, each turned into points and tested against the square and the
-    other region at the same time. A part writes only its own rows, and
-    each row's pieces are exact 0/1 counts over that row's samples, so the
-    result does not depend on the number of parts.
+    Only pairs with apexes at most ``2r`` apart can overlap; the others
+    get ``common = 0``. The single pieces are the clipped areas less the
+    common piece, clamped at 0 against rounding.
     """
-    m = apex1.shape[0]
-    area_full = 0.5 * angle * radius * radius
-    reach = radius * (1.0 + _SETTLE_MARGIN)
-    apart = np.sum((apex1 - apex2) ** 2, axis=1) > (2.0 * reach) ** 2
-    common = np.zeros(m)
-    only1 = np.full(m, area_full)
-    only2 = np.full(m, area_full)
-
-    def sampled(apex):
-        inside = np.all((apex >= reach) & (apex <= 1.0 - reach), axis=1)
-        return ~(apart & inside)
-
-    # Per region: its apexes, the other region's, its own piece, the common
-    # piece (region 1 only) and the rows it samples.
-    regions = (
-        (apex1, elev1, apex2, elev2, only1, common, sampled(apex1)),
-        (apex2, elev2, apex1, elev1, only2, None, sampled(apex2)),
+    common = np.zeros(len(areas1))
+    near = np.sum((region1[0] - region2[0]) ** 2, axis=1) <= (2.0 * radius) ** 2
+    if near.any():
+        common[near] = intersection_areas(
+            [(apex[near], elev[near], angle) for apex, elev, angle in (region1, region2)], radius
+        )
+    return (
+        common,
+        np.maximum(areas1 - common, 0.0),
+        np.maximum(areas2 - common, 0.0),
     )
-    with row_parts() as run:
-        for lo in range(0, m, _DECOMP_CHUNK):
-            hi = min(lo + _DECOMP_CHUNK, m)
-            for apex, elev, other_apex, other_elev, only, shared, sampled in regions:
-                # Draws for every row of the block, kept for the sampled ones.
-                rows = lo + np.flatnonzero(sampled[lo:hi])
-                rad, planes = draw_sector_uniforms(hi - lo, samples, rng, rows - lo)
-                own_apex, own_elev = apex[rows], elev[rows]
-
-                def work(part):
-                    pts = sector_points(own_apex, own_elev, angle, radius, rad, planes, part)
-                    kept = in_unit_square(pts)
-                    part_rows = rows[part]
-                    near = np.flatnonzero(~apart[part_rows])
-                    if near.size:
-                        nrows = part_rows[near]
-                        hit = kept[near] & points_in_sector(
-                            other_apex[nrows, None, :], other_elev[nrows, None],
-                            angle, radius, pts[near],
-                        )
-                        if shared is not None:
-                            shared[nrows] = area_full * np.mean(hit, axis=1)
-                        kept[near] &= ~hit
-                    only[part_rows] = area_full * np.mean(kept, axis=1)
-
-                if rows.size:
-                    run(work, rows.size)
-    return common, only1, only2
 
 
-def decompose_regions(
-    region1: Sector,
-    region2: Sector,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> JointRegionDecomposition:
-    """One-row ``_decompose_batch``: Monte Carlo areas of the three disjoint
+def decompose_regions(region1: Sector, region2: Sector) -> JointRegionDecomposition:
+    """One-row ``_decompose_batch``: exact areas of the three disjoint
     pieces of two regions of equal radius and angle inside the unit square."""
     if region1.radius != region2.radius:
         raise ValueError("regions must share one radius")
     if region1.central_angle != region2.central_angle:
         raise ValueError("regions must share one central angle")
     angle, radius = region1.central_angle, region1.radius
-    common, only1, only2 = (
-        float(a[0])
-        for a in _decompose_batch(
-            np.array([[region1.apex.x, region1.apex.y]]),
-            np.array([region1.elevation]),
-            np.array([[region2.apex.x, region2.apex.y]]),
-            np.array([region2.elevation]),
-            angle,
-            radius,
-            samples,
-            substream(seed, _DOM_DECOMP),
-        )
-    )
-    # Each piece is ``full`` times a binomial fraction of ``samples`` draws.
-    full = 0.5 * angle * radius * radius
-
-    def se(area: float) -> float:
-        return math.sqrt(area * (full - area) / samples)
-
-    return JointRegionDecomposition(
-        area_common=common,
-        area_only1=only1,
-        area_only2=only2,
-        se_common=se(common),
-        se_only1=se(only1),
-        se_only2=se(only2),
-    )
+    rows = [
+        (np.array([[s.apex.x, s.apex.y]]), np.array([s.elevation]), angle) for s in (region1, region2)
+    ]
+    areas = [clipped_sector_areas(*row, radius) for row in rows]
+    pieces = _decompose_batch(*rows, radius, *areas)
+    return JointRegionDecomposition(*(float(p[0]) for p in pieces))
 
 
 def tv_bound(
@@ -377,9 +272,11 @@ def tv_bound(
     the radius-``3r`` ball around the first, with the square's measure
     ``(6r)^2`` folded into the integrand weight. The reported ``bound`` is
     additionally capped at 1 (a total-variation distance never exceeds 1);
-    ``bound_raw`` keeps the uncapped value.
+    ``bound_raw`` keeps the uncapped value. The region areas are exact, so
+    ``area_samples`` is ignored; it stays accepted for existing callers.
     """
     _check_side(side)
+    _check_samples(outer_samples=outer_samples, ew_samples=ew_samples)
     if seed is None:
         seed = _seed_for(params, _DOM_TV, side, degree_set)
     rng = substream(seed)
@@ -406,8 +303,8 @@ def tv_bound(
         angle, e1, e2 = TWO_PI, np.zeros(outer_samples), np.zeros(outer_samples)
 
     # Marginal count probabilities for I1.
-    areas1, _ = clipped_sector_areas(x1, e1, angle, r, area_samples, rng)
-    areas2, _ = clipped_sector_areas(x2[acc], e2[acc], angle, r, area_samples, rng)
+    areas1 = clipped_sector_areas(x1, e1, angle, r)
+    areas2 = clipped_sector_areas(x2[acc], e2[acc], angle, r)
     prob1 = degree_set.poisson_prob(lam_eff * areas1)
     prob2 = np.zeros(outer_samples)
     prob2[acc] = degree_set.poisson_prob(lam_eff * areas2)
@@ -420,7 +317,7 @@ def tv_bound(
     joint = np.zeros(outer_samples)
     if acc.size:
         c_area, o1_area, o2_area = _decompose_batch(
-            x1[acc], e1[acc], x2[acc], e2[acc], angle, r, area_samples, rng
+            (x1[acc], e1[acc], angle), (x2[acc], e2[acc], angle), r, areas1[acc], areas2
         )
         in_s1 = points_in_sector(x1[acc], y1[acc], params.alpha, r, x2[acc])
         in_s2 = points_in_sector(x2[acc], y2[acc], params.alpha, r, x1[acc])
@@ -447,9 +344,7 @@ def tv_bound(
     i2 = pref * float(np.mean(i2_vals))
     i2_se = pref * float(np.std(i2_vals) / math.sqrt(outer_samples))
 
-    ew, ew_se = expected_count(
-        params, degree_set, side, samples=ew_samples, area_samples=area_samples
-    )
+    ew, ew_se = expected_count(params, degree_set, side, samples=ew_samples)
     factor = min(1.0, 1.0 / ew) if ew > 0.0 else 1.0
     bound_raw = factor * (i1 + i2)
     dfactor = 0.0 if ew <= 1.0 else 1.0 / (ew * ew)

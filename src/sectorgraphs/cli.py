@@ -207,7 +207,6 @@ def cmd_bound(cfg: RunConfig, with_empirical: bool = False) -> int:
             ds,
             side,
             outer_samples=cfg.outer_samples,
-            area_samples=cfg.area_samples,
             ew_samples=cfg.ew_samples,
             trunc_cap=cfg.trunc_cap,
         )

@@ -66,7 +66,6 @@ class RunConfig:
     a_sets: tuple[str, ...] = ()
     out: str | None = None
     outer_samples: int = 2000
-    area_samples: int = 4000
     ew_samples: int = 20000
     trunc_cap: float = 1e-8
     n_grid: tuple[int, ...] = ()
@@ -100,7 +99,7 @@ _FIELD_PARSERS = {
     "n": int, "alpha": parse_alpha, "r": float, "mu_target": float, "v": float,
     "q": float, "mode": str, "seed": int, "trials": int, "parallelism": int,
     "epsilon": float, "slack": float, "side": str, "a_sets": _split_a_sets,
-    "out": str, "outer_samples": int, "area_samples": int, "ew_samples": int,
+    "out": str, "outer_samples": int, "ew_samples": int,
     "trunc_cap": float, "n_grid": _comma_list(int), "r_grid": _comma_list(float),
 }
 
@@ -191,7 +190,7 @@ def validate_config(cfg: RunConfig, need_radius: bool = True) -> None:
         raise ConfigError("slack: must be >= 0")
     if cfg.epsilon <= 0:
         raise ConfigError("epsilon: must be > 0")
-    for name in ("outer_samples", "area_samples", "ew_samples"):
+    for name in ("outer_samples", "ew_samples"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name}: must be >= 1")
     if not (0 < cfg.trunc_cap < 1):

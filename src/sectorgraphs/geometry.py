@@ -9,18 +9,13 @@ itself is excluded.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-# Sectors per block of ``clipped_sector_areas`` samples; fixed, so the
-# order of the random draws is too.
-_AREA_CHUNK = 512
 
 # Apexes per block of ``ordered_pairs_within``; the output does not
 # depend on it.
@@ -114,108 +109,158 @@ def sector_contains(s: Sector, p: Point2) -> bool:
 
 def in_unit_square(points: np.ndarray) -> np.ndarray:
     p = np.asarray(points, dtype=float)
-    return (
-        (p[..., 0] >= 0.0) & (p[..., 0] <= 1.0) & (p[..., 1] >= 0.0) & (p[..., 1] <= 1.0)
-    )
+    return np.all((p >= 0.0) & (p <= 1.0), axis=-1)
 
 
-def draw_sector_uniforms(
-    sectors: int,
-    samples: int,
-    rng: np.random.Generator,
-    keep: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of ``sector_points``: ``(sectors, samples)`` radius
-    uniforms, then as many angle uniforms.
+@dataclass
+class _Shape:
+    """One shape of ``intersection_areas``: its anticlockwise boundary as
+    segments ``(start, end)`` and arcs ``(centre, start angle, end
+    angle)``, the lines ``(point, direction)`` and circle centres that
+    carry its boundary, and its membership test."""
 
-    Returns the radius uniforms and a ``(2, rows, samples)`` buffer with
-    the angle uniforms in plane 1, for the sectors ``keep`` (increasing
-    row numbers; all by default). When every row is kept the angle
-    uniforms are drawn straight into the buffer.
+    segments: list
+    arcs: list
+    lines: list
+    circles: list
+    contains: Callable
+
+
+def _unit(theta):
+    return np.stack((np.cos(theta), np.sin(theta)), axis=-1)
+
+
+def _cross(a, b):
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _segment_cuts(p, v, lines, circles, radius):
+    """Parameters ``t`` where ``p + t v`` crosses each line and circle;
+    NaN or infinite where it does not."""
+    cuts = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a, d in lines:
+            cuts.append(_cross(d, a - p) / _cross(d, v))
+        for c in circles:
+            w = p - c
+            vv, vw = np.sum(v * v, axis=-1), np.sum(v * w, axis=-1)
+            root = np.sqrt(vw * vw - vv * (np.sum(w * w, axis=-1) - radius * radius))
+            cuts += [(-vw - root) / vv, (-vw + root) / vv]
+    return cuts
+
+
+def _arc_cuts(centre, start, lines, circles, radius):
+    """Angles in ``[start, start + 2*pi)`` at which the circle of ``radius``
+    around ``centre`` crosses each line and circle (of the same radius);
+    NaN where it does not."""
+    cuts = []
+    with np.errstate(invalid="ignore"):
+        for a, d in lines:
+            phi = np.arctan2(d[..., 1], d[..., 0])
+            s = np.arcsin(_cross(d, a - centre) / (radius * np.hypot(d[..., 0], d[..., 1])))
+            cuts += [phi + s, phi + math.pi - s]
+        for c in circles:
+            delta = c - centre
+            phi = np.arctan2(delta[..., 1], delta[..., 0])
+            h = np.arccos(np.hypot(delta[..., 0], delta[..., 1]) / (2.0 * radius))
+            cuts += [phi - h, phi + h]
+    return [start + np.mod(t - start, TWO_PI) for t in cuts]
+
+
+def _pieces(lo, hi, cuts):
+    """Sorted ``(m, k)`` piece ends of ``[lo, hi]`` split at the cuts; a
+    cut outside it, or NaN, makes an empty piece at one end, which adds
+    exactly 0."""
+    t = np.stack([np.broadcast_to(lo, hi.shape)] + cuts + [hi], axis=1)
+    t = np.where(np.isnan(t), hi[:, None], np.clip(t, lo[:, None], hi[:, None]))
+    t.sort(axis=1)
+    return t[:, :-1], t[:, 1:]
+
+
+def intersection_areas(regions, radius: float) -> np.ndarray:
+    """Exact ``|R_1 ∩ R_2 ∩ [0,1]^2|`` per row, by Green's theorem.
+
+    ``regions`` holds one or two ``(apex_xy, elevation, central_angle)``
+    of sectors of radius ``radius``: ``(m, 2)`` apexes, ``(m,)``
+    elevations and one angle each; ``2*pi`` is the disk. The area is the
+    integral of ``(x dy - y dx) / 2`` over the anticlockwise boundary
+    pieces of the shapes (the square first, then the regions) that bound
+    the intersection, closed-form for segments and arcs. Each boundary
+    curve is cut where it crosses a line or circle carrying another
+    shape's boundary, so each piece lies wholly inside or outside every
+    other shape. Shape ``k``'s piece counts when, for every other shape
+    ``j``, the point ``1e-9 * radius`` to the left of its midpoint lies in
+    ``j``, and so does the point as far to the right whenever ``j < k``:
+    a boundary shared by several shapes counts exactly once. The origin
+    is the first apex, so the first region's radial edges add exactly 0
+    and are left out.
     """
-    rad = rng.random((sectors, samples))
-    if keep is None or keep.size == sectors:
-        planes = np.empty((2, sectors, samples))
-        rng.random(out=planes[1])
-        return rad, planes
-    planes = np.empty((2, keep.size, samples))
-    planes[1] = rng.random((sectors, samples))[keep]
-    return rad[keep], planes
+    origin = np.asarray(regions[0][0], dtype=float)
+    m = origin.shape[0]
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    edges = list(zip(corners, np.roll(corners, -1, axis=0)))
+    shapes = [
+        _Shape(
+            segments=[(np.broadcast_to(a, (m, 2)), np.broadcast_to(b, (m, 2))) for a, b in edges],
+            arcs=[],
+            lines=[(a, b - a) for a, b in edges],
+            circles=[],
+            contains=in_unit_square,
+        )
+    ]
+    for i, (apex_xy, elevation, angle) in enumerate(regions):
+        apex = np.asarray(apex_xy, dtype=float)
+        elev = np.broadcast_to(np.asarray(elevation, dtype=float), (m,))
+        ends = (elev, elev + angle)
+        sides = angle < TWO_PI
+        tips = [apex + radius * _unit(t) for t in ends]
+        shapes.append(
+            _Shape(
+                segments=[(apex, tips[0]), (tips[1], apex)] if sides and i else [],
+                arcs=[(apex, ends[0], ends[1])],
+                lines=[(apex, _unit(t)) for t in ends] if sides else [],
+                circles=[apex],
+                contains=lambda p, a=apex[:, None], e=elev[:, None], w=angle: points_in_sector(
+                    a, e, w, radius, p
+                ),
+            )
+        )
 
+    total = np.zeros(m)
+    offset = 1e-9 * radius
+    for k, shape in enumerate(shapes):
+        lines = [line for j, s in enumerate(shapes) if j != k for line in s.lines]
+        circles = [c for j, s in enumerate(shapes) if j != k for c in s.circles]
 
-def sector_points(
-    apex_xy: np.ndarray,
-    elevation: np.ndarray,
-    central_angle: float,
-    radius: float,
-    rad: np.ndarray,
-    planes: np.ndarray,
-    part: slice,
-) -> np.ndarray:
-    """Uniform points of sectors by area-preserving polar sampling, in place.
+        def bounding(mid, normal):
+            left, right = mid + offset * normal, mid - offset * normal
+            keep = np.ones(mid.shape[:-1], dtype=bool)
+            for j, s in enumerate(shapes):
+                if j != k:
+                    keep &= s.contains(left)
+                    if j < k:
+                        keep &= s.contains(right)
+            return keep
 
-    Turns rows ``part`` of the uniforms from ``draw_sector_uniforms`` into
-    points: distance ``radius * sqrt(u)``, direction ``elevation +
-    central_angle * u'``, x into plane 0 of ``planes`` and y over the
-    angles in plane 1. ``apex_xy`` and ``elevation`` hold one sector per
-    row of ``rad``. Returns the part's points as a ``(rows, samples, 2)``
-    view of ``planes``, the last axis being (x, y). Distinct parts touch
-    distinct rows, so they may run on different threads.
-    """
-    r = rad[part]
-    np.sqrt(r, out=r)
-    r *= radius
-    x, y = planes[:, part]
-    y *= central_angle
-    y += elevation[part, None]
-    np.cos(y, out=x)
-    np.sin(y, out=y)
-    x *= r
-    x += apex_xy[part, 0, None]
-    y *= r
-    y += apex_xy[part, 1, None]
-    return np.moveaxis(planes[:, part], 0, -1)
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
-
-
-@contextlib.contextmanager
-def row_parts():
-    """Yields ``run(work, rows)``, which calls ``work(part)`` on contiguous,
-    disjoint slices ``part`` that cover ``range(rows)``: one per CPU, never
-    more than ``rows``.
-
-    The first part runs on the calling thread and the others at the same
-    time on helper threads. ``run`` returns once every part is done, and
-    raises if any part raised. The helper threads end when the context
-    exits, so none is left when a caller later forks; with one CPU, or
-    only single-row calls, none starts.
-    """
-    cpus = _cpu_count()
-    if cpus == 1:
-        yield lambda work, rows: work(slice(0, rows))
-        return
-    from concurrent.futures.thread import ThreadPoolExecutor  # imported on use
-
-    with ThreadPoolExecutor(cpus - 1) as pool:
-
-        def run(work, rows):
-            k = max(1, min(cpus, rows))
-            edges = [rows * i // k for i in range(k + 1)]
-            helpers = [pool.submit(work, slice(a, b)) for a, b in zip(edges[1:-1], edges[2:])]
-            try:
-                work(slice(0, edges[1]))
-            finally:
-                for h in helpers:
-                    h.result()
-
-        yield run
+        for p, q in shape.segments:
+            v = q - p
+            ta, tb = _pieces(np.zeros(m), np.ones(m), _segment_cuts(p, v, lines, circles, radius))
+            xa = (p - origin)[:, None] + ta[..., None] * v[:, None]
+            xb = (p - origin)[:, None] + tb[..., None] * v[:, None]
+            mid = p[:, None] + 0.5 * (ta + tb)[..., None] * v[:, None]
+            normal = np.stack((-v[:, 1], v[:, 0]), axis=-1) / np.hypot(v[:, 0], v[:, 1])[:, None]
+            total += np.sum(0.5 * _cross(xa, xb) * bounding(mid, normal[:, None]), axis=1)
+        for c, t0, t1 in shape.arcs:
+            ta, tb = _pieces(t0, t1, _arc_cuts(c, t0, lines, circles, radius))
+            cx, cy = (c - origin).T
+            green = radius * (
+                radius * (tb - ta)
+                + cx[:, None] * (np.sin(tb) - np.sin(ta))
+                - cy[:, None] * (np.cos(tb) - np.cos(ta))
+            )
+            u = _unit(0.5 * (ta + tb))
+            total += np.sum(0.5 * green * bounding(c[:, None] + radius * u, -u), axis=1)
+    return total
 
 
 def clipped_sector_areas(
@@ -223,68 +268,28 @@ def clipped_sector_areas(
     elevation: np.ndarray,
     central_angle: float,
     radius: float,
-    samples: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo ``|sector ∩ [0,1]^2|`` for many sectors sharing angle and radius.
+) -> np.ndarray:
+    """Exact ``|sector ∩ [0,1]^2|`` for many sectors sharing angle and radius.
 
-    Each clipped row draws ``samples`` uniform points of its sector by
-    area-preserving polar sampling and rejects them against the square, so
-    its estimate is the sector area times a binomial fraction. Returns
-    per-sector areas and standard errors. Rows whose enclosing disk is
-    interior to the square are exact with zero error; the rest share no
-    samples, so row errors are independent.
-
-    Threads: per block of ``_AREA_CHUNK`` clipped rows, every draw is made
-    on the calling thread in a fixed order; then ``row_parts`` turns
-    disjoint row ranges into points and fractions at the same time. A
-    row's fraction is an exact 0/1 count over its own samples, so the
-    result does not depend on the number of parts.
+    Rows whose enclosing disk is interior to the square get the full
+    ``central_angle * radius**2 / 2``; the clipped rows get
+    ``intersection_areas``.
     """
     apex = np.asarray(apex_xy, dtype=float)
-    elev = np.broadcast_to(np.asarray(elevation, dtype=float), apex.shape[:1]).copy()
-    m = apex.shape[0]
-    full = 0.5 * central_angle * radius * radius
-    areas = np.full(m, full)
-    ses = np.zeros(m)
-    clipped = ~(
-        (apex[:, 0] >= radius)
-        & (apex[:, 0] <= 1.0 - radius)
-        & (apex[:, 1] >= radius)
-        & (apex[:, 1] <= 1.0 - radius)
-    )
-    idx = np.nonzero(clipped)[0]
-    with row_parts() as run:
-        for lo in range(0, idx.size, _AREA_CHUNK):
-            rows = idx[lo : lo + _AREA_CHUNK]
-            rad, planes = draw_sector_uniforms(rows.size, samples, rng)
-            block_apex, block_elev = apex[rows], elev[rows]
-
-            def work(part):
-                pts = sector_points(
-                    block_apex, block_elev, central_angle, radius, rad, planes, part
-                )
-                frac = in_unit_square(pts).mean(axis=1)
-                areas[rows[part]] = full * frac
-                ses[rows[part]] = full * np.sqrt(frac * (1.0 - frac) / samples)
-
-            run(work, rows.size)
-    return areas, ses
+    elev = np.broadcast_to(np.asarray(elevation, dtype=float), apex.shape[:1])
+    areas = np.full(apex.shape[0], 0.5 * central_angle * radius * radius)
+    clipped = ~np.all((apex >= radius) & (apex <= 1.0 - radius), axis=1)
+    if clipped.any():
+        areas[clipped] = intersection_areas(
+            [(apex[clipped], elev[clipped], central_angle)], radius
+        )
+    return areas
 
 
-def clipped_area(
-    s: Sector, samples: int = 100_000, seed: int = 0
-) -> tuple[float, float]:
-    """One-row ``clipped_sector_areas``, deterministic for a fixed ``seed``."""
-    areas, ses = clipped_sector_areas(
-        np.array([[s.apex.x, s.apex.y]]),
-        s.elevation,
-        s.central_angle,
-        s.radius,
-        samples,
-        np.random.Generator(np.random.PCG64(seed)),
-    )
-    return float(areas[0]), float(ses[0])
+def clipped_area(s: Sector) -> float:
+    """One-row ``clipped_sector_areas``."""
+    apex = np.array([[s.apex.x, s.apex.y]])
+    return float(clipped_sector_areas(apex, s.elevation, s.central_angle, s.radius)[0])
 
 
 @dataclass

@@ -4,8 +4,9 @@
 precision. ``brute_force_graph`` rebuilds a realization from the same
 per-trial stream but derives the arc set by a full O(n^2) pairwise scan,
 with no spatial index involved. ``eager_points_in_sector`` runs the arc
-test on every point, and ``sampled_decomposition`` samples every row of
-the bound's pair decomposition, with no settled rows.
+test on every point. ``sampled_clipped_areas`` and
+``sampled_decomposition`` estimate the bound's region areas by plain
+Monte Carlo, with binomial standard errors.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import mpmath as mp
 import numpy as np
 
-from sectorgraphs import bounds
 from sectorgraphs.geometry import TWO_PI, angle_in_arc, in_unit_square
 from sectorgraphs.model import ModelParams
 from sectorgraphs.randomness import TrialStream
@@ -123,8 +123,8 @@ def _all_sector_points(apex_xy, elevation, central_angle, radius, samples, rng):
     return apex_xy[:, 0, None] + rad * np.cos(ang), apex_xy[:, 1, None] + rad * np.sin(ang)
 
 
-def sampled_clipped_areas(apex_xy, elevation, central_angle, radius, samples, rng, chunk):
-    """``geometry.clipped_sector_areas`` by the old one-step point formula:
+def sampled_clipped_areas(apex_xy, elevation, central_angle, radius, samples, rng, chunk=512):
+    """Monte Carlo ``geometry.clipped_sector_areas`` and standard errors:
     per block of ``chunk`` clipped rows, the points of every row, then
     their fraction in the square."""
     full = 0.5 * central_angle * radius * radius
@@ -144,17 +144,19 @@ def sampled_clipped_areas(apex_xy, elevation, central_angle, radius, samples, rn
     return areas, ses
 
 
-def sampled_decomposition(apex1, elev1, apex2, elev2, angle, radius, samples, rng):
-    """``bounds._decompose_batch`` with every row sampled: per block of
-    ``bounds._DECOMP_CHUNK`` rows, region 1's points against the square and
-    region 2, then region 2's points against the square and region 1."""
+def sampled_decomposition(apex1, elev1, apex2, elev2, angle, radius, samples, rng, chunk=128):
+    """Monte Carlo three-piece areas of ``bounds._decompose_batch``: per
+    block of ``chunk`` rows, region 1's points against the square and
+    region 2, then region 2's points against the square and region 1.
+    Each piece is the full sector area times a binomial fraction of
+    ``samples`` points."""
     m = apex1.shape[0]
     area_full = 0.5 * angle * radius * radius
     common = np.zeros(m)
     only1 = np.zeros(m)
     only2 = np.zeros(m)
-    for lo in range(0, m, bounds._DECOMP_CHUNK):
-        sl = slice(lo, min(lo + bounds._DECOMP_CHUNK, m))
+    for lo in range(0, m, chunk):
+        sl = slice(lo, min(lo + chunk, m))
         a1, e1 = apex1[sl], elev1[sl]
         a2, e2 = apex2[sl], elev2[sl]
         p = np.stack(_all_sector_points(a1, e1, angle, radius, samples, rng), axis=-1)

@@ -1,16 +1,12 @@
 import dataclasses
 import math
-import sys
 import threading
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from oracles import sampled_clipped_areas, sampled_decomposition
-from sectorgraphs import bounds, geometry
+from oracles import sampled_decomposition
+from sectorgraphs import bounds
 from sectorgraphs.bounds import (
     ArcIndicator,
     JointRegionDecomposition,
@@ -23,7 +19,7 @@ from sectorgraphs.bounds import (
     tv_bound,
 )
 from sectorgraphs.degree_sets import DegreeSet
-from sectorgraphs.geometry import Point2, Sector, TWO_PI, clipped_area
+from sectorgraphs.geometry import Point2, Sector, TWO_PI, clipped_area, clipped_sector_areas
 from sectorgraphs.harness import run_trials
 from sectorgraphs.model import ModelParams
 from sectorgraphs.theory import poisson_upper_tail, predict, radius_for_mean_degree
@@ -32,19 +28,19 @@ B_OFF = ArcIndicator(present=False, survive_prob=0.8)
 
 
 def _dec(common: float, only1: float, only2: float) -> JointRegionDecomposition:
-    return JointRegionDecomposition(common, only1, only2, 0.0, 0.0, 0.0)
+    return JointRegionDecomposition(common, only1, only2)
 
 
 class TestExpectedCount:
     def test_all_degrees_gives_alive_mean(self):
         params = ModelParams(n=5000, alpha=math.pi, r=0.02, v=0.25, q=0.1, mode="poisson")
-        ew, se = expected_count(params, DegreeSet.all(), "out", samples=400, area_samples=400)
+        ew, se = expected_count(params, DegreeSet.all(), "out", samples=400)
         assert ew == pytest.approx(0.75 * 5000, rel=1e-12)
         assert se == 0.0
 
     def test_empty_set_gives_zero(self):
         params = ModelParams(n=5000, alpha=math.pi, r=0.02, v=0.0, q=0.0, mode="poisson")
-        ew, se = expected_count(params, DegreeSet.empty(), "in", samples=400, area_samples=400)
+        ew, se = expected_count(params, DegreeSet.empty(), "in", samples=400)
         assert ew == 0.0 and se == 0.0
 
     def test_matches_boundary_free_closed_form(self):
@@ -52,25 +48,43 @@ class TestExpectedCount:
         # up to the boundary-strip deficit.
         params = ModelParams(n=10**4, alpha=math.pi, r=0.01, v=0.0, q=0.0, mode="poisson")
         ds = DegreeSet.upper_tail(3)
-        ew, se = expected_count(params, ds, "out", samples=20_000, area_samples=8_000)
+        ew, se = expected_count(params, ds, "out", samples=20_000)
         mu_bar = 0.5 * math.pi * 10**4 * 0.01**2
         closed = 10**4 * poisson_upper_tail(mu_bar, 3)
         strip = 10**4 * poisson_upper_tail(mu_bar, 3) * 8 * 0.01
         assert ew <= closed + 4 * se
         assert abs(ew - closed) <= 4 * se + strip
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_zero_samples_rejected(self, samples):
+        params = ModelParams(n=500, alpha=math.pi, r=0.05, v=0.0, q=0.0, mode="poisson")
+        with pytest.raises(ValueError, match="samples"):
+            expected_count(params, DegreeSet.upper_tail(2), "out", samples=samples)
+
+
+def _random_pairs(seed, m, r):
+    """Apexes anywhere, a sixth of them on corners, each second apex within
+    ``3r`` of the first and kept in the square, and random elevations."""
+    rng = np.random.default_rng(seed)
+    a1 = rng.random((m, 2))
+    a1[: m // 6] = rng.integers(0, 2, (m // 6, 2))
+    a2 = np.clip(a1 + 6 * r * (rng.random((m, 2)) - 0.5), 0.0, 1.0)
+    return a1, TWO_PI * rng.random(m), a2, TWO_PI * rng.random(m)
+
 
 class TestDecomposeRegions:
     def test_identical_regions(self):
-        s = Sector(Point2(0.5, 0.5), 0.3, 2.0, 0.1)
-        dec = decompose_regions(s, s, samples=20_000, seed=1)
-        assert dec.area_only1 == 0.0 and dec.area_only2 == 0.0
-        assert dec.area_common == pytest.approx(s.area, rel=1e-12)
+        for apex in (Point2(0.5, 0.5), Point2(0.02, 0.5), Point2(1.0, 1.0)):
+            s = Sector(apex, 0.3, 2.0, 0.1)
+            dec = decompose_regions(s, s)
+            assert dec.area_only1 == pytest.approx(0.0, abs=1e-12 * s.area)
+            assert dec.area_only2 == pytest.approx(0.0, abs=1e-12 * s.area)
+            assert dec.area_common == pytest.approx(clipped_area(s), rel=1e-12)
 
     def test_disjoint_regions(self):
         s1 = Sector.disk(Point2(0.05, 0.05), 0.1)
         s2 = Sector.disk(Point2(0.9, 0.9), 0.1)
-        dec = decompose_regions(s1, s2, samples=20_000, seed=2)
+        dec = decompose_regions(s1, s2)
         assert dec.area_common == 0.0
 
     def test_radius_mismatch_rejected(self):
@@ -88,7 +102,7 @@ class TestDecomposeRegions:
     def test_pieces_sum_to_union_area(self):
         s1 = Sector(Point2(0.4, 0.42), 0.5, 4.0, 0.15)
         s2 = Sector(Point2(0.47, 0.4), 2.5, 4.0, 0.15)
-        dec = decompose_regions(s1, s2, samples=200_000, seed=3)
+        dec = decompose_regions(s1, s2)
         total = dec.area_common + dec.area_only1 + dec.area_only2
         # Independent union estimate: rejection from the covering box.
         rng = np.random.default_rng(99)
@@ -104,201 +118,39 @@ class TestDecomposeRegions:
         frac = float(np.mean(mask))
         union = box * frac
         union_se = box * math.sqrt(frac * (1 - frac) / 400_000)
-        combined = math.sqrt(
-            union_se**2 + dec.se_common**2 + dec.se_only1**2 + dec.se_only2**2
-        )
-        assert abs(total - union) <= 4 * combined
+        assert abs(total - union) <= 4 * union_se
 
     def test_consistency_with_clipped_area(self):
         s1 = Sector(Point2(0.05, 0.5), 1.0, 3.0, 0.12)
         s2 = Sector(Point2(0.1, 0.55), 4.0, 3.0, 0.12)
-        dec = decompose_regions(s1, s2, samples=200_000, seed=4)
-        a1, a1_se = clipped_area(s1, samples=200_000, seed=5)
-        got = dec.area_common + dec.area_only1
-        err = math.sqrt(dec.se_common**2 + dec.se_only1**2 + a1_se**2)
-        assert abs(got - a1) <= 4 * err
+        dec = decompose_regions(s1, s2)
+        assert dec.area_common + dec.area_only1 == pytest.approx(clipped_area(s1), rel=1e-14)
+        assert dec.area_common + dec.area_only2 == pytest.approx(clipped_area(s2), rel=1e-14)
 
+    @pytest.mark.parametrize("angle", [1.0, math.pi, TWO_PI])
+    def test_symmetric_and_summing_to_clipped_areas(self, angle):
+        r = 0.12
+        for a1, e1, a2, e2 in zip(*_random_pairs(11, 60, r)):
+            s1 = Sector(Point2(*a1), e1, angle, r)
+            s2 = Sector(Point2(*a2), e2, angle, r)
+            dec, back = decompose_regions(s1, s2), decompose_regions(s2, s1)
+            assert back.area_common == pytest.approx(dec.area_common, rel=1e-14, abs=1e-14 * s1.area)
+            assert dec.area_common + dec.area_only1 == pytest.approx(clipped_area(s1), rel=1e-14)
+            assert dec.area_common + dec.area_only2 == pytest.approx(clipped_area(s2), rel=1e-14)
 
-class _EdgeDraws:
-    """Stand-in for ``np.random.Generator`` whose draws put sample points
-    on edges. Draws alternate between radius and angle uniforms; in the
-    first 25 columns of each row a radius draw takes ``EDGES[j % 5]`` and
-    an angle draw ``EDGES[j // 5]``, so every row has points at the apex,
-    at nearly the full radius, and on the arc's edges and quarter lines.
-    The other uniforms are random."""
-
-    EDGES = np.array([0.0, 0.25, 0.5, 0.75, float(np.nextafter(1.0, 0.0))])
-
-    def __init__(self, seed: int):
-        self._rng = np.random.default_rng(seed)
-        self._calls = 0
-
-    def random(self, size=None, out=None):
-        u = self._rng.random(size, out=out)
-        j = np.arange(min(u.shape[-1], 25))
-        u[..., j] = self.EDGES[j // 5 if self._calls % 2 else j % 5]
-        self._calls += 1
-        return u
-
-
-def _near(value: float) -> st.SearchStrategy:
-    """``value`` or one ulp to either side of it."""
-    return st.sampled_from([value, float(np.nextafter(value, -1.0)), float(np.nextafter(value, 2.0))])
-
-
-_AXIS_ANGLE = st.one_of(
-    st.sampled_from([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]),
-    st.floats(0.0, TWO_PI, exclude_max=True),
-)
-
-
-@st.composite
-def _region_pairs(draw):
-    """``(apex1, elev1, apex2, elev2, angle, radius)``: rows with apex
-    coordinates on ``r`` and ``1 - r`` or one ulp off, and the second apex
-    ``2r`` (or one ulp more or less) from the first along an axis, or
-    anywhere within ``3r``."""
-    r = draw(st.floats(0.01, 0.2))
-    angle = draw(st.sampled_from([TWO_PI, math.pi, 1.0]))
-    coord = st.one_of(_near(r), _near(1.0 - r), st.floats(0.0, 1.0))
-    rows = []
-    for _ in range(draw(st.integers(1, 7))):
-        a1 = [draw(coord), draw(coord)]
-        a2 = list(a1)
-        axis = draw(st.integers(0, 1))
-        step = 2.0 * r if a1[axis] + 2.0 * r <= 1.0 else -2.0 * r
-        a2[axis] = draw(st.one_of(_near(a1[axis] + step), st.floats(a1[axis] - 3 * r, a1[axis] + 3 * r)))
-        a2 = [min(max(c, 0.0), 1.0) for c in a2]
-        rows.append((a1, draw(_AXIS_ANGLE), a2, draw(_AXIS_ANGLE)))
-    a1, e1, a2, e2 = (np.array(col, dtype=float) for col in zip(*rows))
-    return a1, e1, a2, e2, angle, r
-
-
-def _margin_case(apex1, elev1, apex2, radius):
-    """Disks whose apexes are ``2r`` apart in floating point, the first's
-    elevation towards the second. The first disk's point at nearly the
-    full radius in that direction rounds to within ``r`` of the second
-    apex, so the row is settled wrongly unless the margin is positive."""
-    return np.array([apex1]), np.array([elev1]), np.array([apex2]), np.zeros(1), TWO_PI, radius
-
-
-class TestSettledRows:
-    """``_decompose_batch`` settles region pairs without sampling them; its
-    three arrays must equal those of sampling every row, bit for bit."""
-
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-    @given(_region_pairs(), st.sampled_from([1, 3]), st.booleans(), st.integers(0, 2**32 - 1))
-    @example(_margin_case([0.1213129721246116, 0.5226966606966107], 0.0,
-                          [0.14830893597403555, 0.5226966606966107], 0.013497981924711971), 1, True, 0)
-    @example(_margin_case([0.7865758645931694, 0.48272695671742], 0.5 * math.pi,
-                          [0.7865758645931694, 0.5396884291906795], 0.02848073623662973), 1, True, 0)
-    @example(_margin_case([0.5852150662912085, 0.7756696441274883], math.pi,
-                          [0.46265794133668975, 0.7756696441274883], 0.061278562477259345), 1, True, 0)
-    @example(_margin_case([0.42602839851629354, 0.5998547056502583], 1.5 * math.pi,
-                          [0.42602839851629354, 0.4868454080506646], 0.05650464879979685), 1, True, 0)
-    def test_equal_to_full_sampling(self, case, chunk, edge_draws, seed):
-        a1, e1, a2, e2, angle, r = case
-        make = _EdgeDraws if edge_draws else np.random.default_rng
-        with mock.patch.object(bounds, "_DECOMP_CHUNK", chunk):
-            got = bounds._decompose_batch(a1, e1, a2, e2, angle, r, 64, make(seed))
-            want = sampled_decomposition(a1, e1, a2, e2, angle, r, 64, make(seed))
+    @pytest.mark.parametrize("angle", [1.0, math.pi, 5.0, TWO_PI])
+    def test_against_monte_carlo_oracle(self, angle):
+        r, samples = 0.15, 20_000
+        a1, e1, a2, e2 = _random_pairs(7, 120, r)
+        regions = (a1, e1, angle), (a2, e2, angle)
+        areas = [clipped_sector_areas(*region, r) for region in regions]
+        got = bounds._decompose_batch(*regions, r, *areas)
+        want = sampled_decomposition(a1, e1, a2, e2, angle, r, samples, np.random.default_rng(8))
+        full = 0.5 * angle * r * r
         for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-
-    def test_bound_sized_batch_equal_to_full_sampling(self):
-        # tv_bound's own mix of rows, at the default block size.
-        rng = np.random.default_rng(5)
-        r = 0.04
-        a1 = rng.random((700, 2))
-        a2 = np.clip(a1 + 6 * r * (rng.random((700, 2)) - 0.5), 0.0, 1.0)
-        e1, e2 = TWO_PI * rng.random(700), TWO_PI * rng.random(700)
-        for angle in (math.pi, TWO_PI):
-            got = bounds._decompose_batch(a1, e1, a2, e2, angle, r, 300, np.random.default_rng(9))
-            want = sampled_decomposition(a1, e1, a2, e2, angle, r, 300, np.random.default_rng(9))
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
-
-
-class TestRowParts:
-    """The pair decomposition draws on the calling thread and splits each
-    block's sampled rows into one part per CPU; the bits must not depend
-    on the number of parts."""
-
-    @pytest.mark.parametrize("chunk", [1, 3, bounds._DECOMP_CHUNK])
-    def test_decomposition_independent_of_workers(self, monkeypatch, chunk):
-        rng = np.random.default_rng(chunk)
-        r = 0.05
-        a1 = rng.random((300, 2))
-        a2 = np.clip(a1 + 6 * r * (rng.random((300, 2)) - 0.5), 0.0, 1.0)
-        e1, e2 = TWO_PI * rng.random(300), TWO_PI * rng.random(300)
-        monkeypatch.setattr(bounds, "_DECOMP_CHUNK", chunk)
-        for angle in (1.0, TWO_PI):
-            want = sampled_decomposition(a1, e1, a2, e2, angle, r, 77, np.random.default_rng(3))
-            for cpus in (1, 2, 3):
-                monkeypatch.setattr(geometry, "_cpu_count", lambda: cpus)
-                got = bounds._decompose_batch(a1, e1, a2, e2, angle, r, 77, np.random.default_rng(3))
-                assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-    def test_more_parts_than_cores_with_frequent_switches(self, monkeypatch):
-        # Eight parts on at most a few cores, switching threads every
-        # microsecond: a row lost or written twice changes the arrays.
-        rng = np.random.default_rng(12)
-        r = 0.08
-        a1 = rng.random((200, 2))
-        a2 = np.clip(a1 + 6 * r * (rng.random((200, 2)) - 0.5), 0.0, 1.0)
-        e1, e2 = TWO_PI * rng.random(200), TWO_PI * rng.random(200)
-        want_dec = sampled_decomposition(a1, e1, a2, e2, 2.0, r, 50, np.random.default_rng(1))
-        want_areas = sampled_clipped_areas(a1, e1, 2.0, r, 50, np.random.default_rng(2), geometry._AREA_CHUNK)
-        monkeypatch.setattr(geometry, "_cpu_count", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got_dec = bounds._decompose_batch(a1, e1, a2, e2, 2.0, r, 50, np.random.default_rng(1))
-            got_areas = geometry.clipped_sector_areas(a1, e1, 2.0, r, 50, np.random.default_rng(2))
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(np.array_equal(g, w) for g, w in zip(got_dec, want_dec))
-        assert all(np.array_equal(g, w) for g, w in zip(got_areas, want_areas))
-
-    def test_tv_bound_independent_of_workers(self, monkeypatch, small_config):
-        ds = DegreeSet.upper_tail(5)
-        reports = []
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(geometry, "_cpu_count", lambda: cpus)
-            reports.append(
-                [tv_bound(small_config, ds, side, outer_samples=300, area_samples=301,
-                          ew_samples=300) for side in ("out", "in")]
-            )
-        assert reports[0] == reports[1] == reports[2]
-
-    def test_no_thread_outlives_the_bound(self, monkeypatch, small_config):
-        monkeypatch.setattr(geometry, "_cpu_count", lambda: 3)
-        threads = threading.active_count()
-        tv_bound(small_config, DegreeSet.upper_tail(5), "out",
-                 outer_samples=200, area_samples=200, ew_samples=200)
-        assert threading.active_count() == threads
-
-    def test_fork_after_bound(self, small_config):
-        tv_bound(small_config, DegreeSet.upper_tail(5), "in",
-                 outer_samples=200, area_samples=200, ew_samples=200)
-        params = ModelParams(n=300, alpha=math.pi, r=0.08, v=0.1, q=0.2, master_seed=4)
-        assert run_trials(params, 8, parallelism=2) == run_trials(params, 8)
-
-    def test_helper_error_propagates(self, monkeypatch, small_config):
-        real = bounds.sector_points
-
-        def failing(*args):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("helper part failed")
-            return real(*args)
-
-        monkeypatch.setattr(geometry, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(bounds, "sector_points", failing)
-        threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="helper part failed"):
-            tv_bound(small_config, DegreeSet.upper_tail(5), "out",
-                     outer_samples=200, area_samples=200, ew_samples=200)
-        assert threading.active_count() == threads
+            # A fraction of 0 or 1 has no spread; allow one sample's worth.
+            se = np.maximum(np.sqrt(w * (full - w) / samples), full / samples)
+            assert np.all(np.abs(g - w) <= 4.0 * se)
 
 
 class TestJointCountProb:
@@ -414,7 +266,7 @@ class TestTvBound:
     def test_empty_set_gives_zero(self, small_config):
         rep = tv_bound(
             small_config, DegreeSet.empty(), "out",
-            outer_samples=300, area_samples=400, ew_samples=300,
+            outer_samples=300, ew_samples=300,
         )
         assert rep.i1 == 0.0 and rep.i2 == 0.0 and rep.bound == 0.0
 
@@ -423,7 +275,7 @@ class TestTvBound:
         for side in ("out", "in"):
             rep = tv_bound(
                 small_config, ds, side,
-                outer_samples=800, area_samples=1500, ew_samples=2000,
+                outer_samples=800, ew_samples=2000,
             )
             assert rep.i1 >= 0.0 and rep.i2 >= 0.0
             assert 0.0 <= rep.bound <= 1.0
@@ -435,7 +287,7 @@ class TestTvBound:
         ds = DegreeSet.upper_tail(k)
         rep = tv_bound(
             small_config, ds, "out",
-            outer_samples=3000, area_samples=2000, ew_samples=2000,
+            outer_samples=3000, ew_samples=2000,
         )
         n, r = small_config.n, small_config.r
         crude = n * n * poisson_upper_tail(1.0, k) ** 2 * math.pi * (3 * r) ** 2
@@ -445,17 +297,39 @@ class TestTvBound:
         ds = DegreeSet.upper_tail(6)
         loose = tv_bound(
             small_config, ds, "out",
-            outer_samples=500, area_samples=800, ew_samples=500,
-            trunc_cap=1e-3, seed=7,
+            outer_samples=500, ew_samples=500, trunc_cap=1e-3, seed=7,
         )
         tight = tv_bound(
             small_config, ds, "out",
-            outer_samples=500, area_samples=800, ew_samples=500,
-            trunc_cap=1e-10, seed=7,
+            outer_samples=500, ew_samples=500, trunc_cap=1e-10, seed=7,
         )
         pref = small_config.n**2
         slack = pref * (6 * small_config.r) ** 2 * loose.truncation_error
         assert abs(loose.i2 - tight.i2) <= slack + 1e-12
+
+    def test_area_samples_ignored(self, small_config):
+        ds = DegreeSet.upper_tail(5)
+        want = tv_bound(small_config, ds, "in", outer_samples=200, ew_samples=200)
+        assert tv_bound(small_config, ds, "in", 200, 1, 200) == want
+
+    @pytest.mark.parametrize("name", ["outer_samples", "ew_samples"])
+    def test_zero_samples_rejected(self, small_config, name):
+        with pytest.raises(ValueError, match=name):
+            tv_bound(small_config, DegreeSet.upper_tail(5), "out", **{name: 0})
+
+    def test_starts_no_thread(self, monkeypatch, small_config):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        tv_bound(small_config, DegreeSet.upper_tail(5), "out",
+                 outer_samples=200, ew_samples=200)
+        assert started == []
+
+    def test_fork_after_bound(self, small_config):
+        tv_bound(small_config, DegreeSet.upper_tail(5), "in",
+                 outer_samples=200, area_samples=200, ew_samples=200)
+        params = ModelParams(n=300, alpha=math.pi, r=0.08, v=0.1, q=0.2, master_seed=4)
+        assert run_trials(params, 8, parallelism=2) == run_trials(params, 8)
 
 
 class TestEmpiricalTv:
@@ -480,24 +354,24 @@ class TestEmpiricalTv:
         assert 0.0 <= empirical_tv([5, 6, 7], 0.5) <= 1.0
 
 
-# ``float.hex`` of every float of two small reports, computed before the
-# pair decomposition settled any rows.
+# ``float.hex`` of every float of two small reports, with exact region
+# areas.
 _PINNED_REPORTS = {
     "out": {
-        "ew": "0x1.8de30375623fdp+0", "ew_se": "0x1.b0609495c3fcep-7",
-        "i1": "0x1.c922bfa8a0b06p-4", "i1_se": "0x1.070e990fbdd90p-8",
-        "i2": "0x1.295372ee1d8dep+0", "i2_se": "0x1.1cc388c2696e8p-2",
-        "truncation_error": "0x1.2ed8000000000p-37",
-        "bound_raw": "0x1.a35d16f60c6b2p-1", "bound": "0x1.a35d16f60c6b2p-1",
-        "bound_se": "0x1.6ebf92f2c252cp-3",
+        "ew": "0x1.8e14ccc5323eap+0", "ew_se": "0x1.ae67c430a6523p-7",
+        "i1": "0x1.c8ca28bd08358p-4", "i1_se": "0x1.07159e86bdb41p-8",
+        "i2": "0x1.3ed1e4910c31cp+0", "i2_se": "0x1.3b044c37ccf37p-2",
+        "truncation_error": "0x1.2f4c000000000p-36",
+        "bound_raw": "0x1.bec698a96ac85p-1", "bound": "0x1.bec698a96ac85p-1",
+        "bound_se": "0x1.957b086442cdfp-3",
     },
     "in": {
-        "ew": "0x1.813eb203d043cp+0", "ew_se": "0x1.096eca99fa066p-6",
-        "i1": "0x1.bfcaf9efe7cc3p-4", "i1_se": "0x1.074e27440c351p-8",
-        "i2": "0x1.771817bf1e639p+1", "i2_se": "0x1.3ab7d20c836f4p-1",
-        "truncation_error": "0x1.7bbc300000000p-32",
-        "bound_raw": "0x1.028db528cca87p+1", "bound": "0x1.0000000000000p+0",
-        "bound_se": "0x1.a2de8bb1bf8bap-2",
+        "ew": "0x1.8173c753480d3p+0", "ew_se": "0x1.0825985c15716p-6",
+        "i1": "0x1.bff9edf278738p-4", "i1_se": "0x1.07502b13ef130p-8",
+        "i2": "0x1.7b21f4b3ac0a3p+1", "i2_se": "0x1.3ff49c6c91359p-1",
+        "truncation_error": "0x1.8feb200000000p-32",
+        "bound_raw": "0x1.0519b860bda2ep+1", "bound": "0x1.0000000000000p+0",
+        "bound_se": "0x1.a998cfd7e2cb3p-2",
     },
 }
 
@@ -508,7 +382,7 @@ def test_tv_bound_is_pinned(side):
     params = ModelParams(n=500, alpha=math.pi, r=r, v=0.1, q=0.2, mode="poisson", master_seed=7)
     ds = DegreeSet.upper_tail(predict(params).k)
     assert ds.descriptor() == "tail:5"
-    rep = tv_bound(params, ds, side, outer_samples=400, area_samples=500, ew_samples=600)
+    rep = tv_bound(params, ds, side, outer_samples=400, ew_samples=600)
     got = {
         f.name: getattr(rep, f.name).hex()
         for f in dataclasses.fields(rep)

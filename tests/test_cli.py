@@ -28,8 +28,8 @@ _NON_DEFAULT_TEXT = {
     "n": "2500", "alpha": "pi/2", "r": "0.05", "mu_target": "1.5", "v": "0.1",
     "q": "0.2", "mode": "poisson", "seed": "42", "trials": "64", "parallelism": "2",
     "epsilon": "0.5", "slack": "0.2", "side": "in", "a_sets": "tail:7,set:0,1",
-    "out": "runs/x", "outer_samples": "300", "area_samples": "400",
-    "ew_samples": "500", "trunc_cap": "1e-6", "n_grid": "100,1000", "r_grid": "0.1,0.2",
+    "out": "runs/x", "outer_samples": "300", "ew_samples": "500", "trunc_cap": "1e-6",
+    "n_grid": "100,1000", "r_grid": "0.1,0.2",
 }
 
 
@@ -82,7 +82,7 @@ class TestConfig:
             validate_config(RunConfig(r=0.1, trials=0))
         with pytest.raises(ConfigError, match="a_sets"):
             validate_config(RunConfig(r=0.1, a_sets=("mid:3",)))
-        for name in ("outer_samples", "area_samples", "ew_samples"):
+        for name in ("outer_samples", "ew_samples"):
             with pytest.raises(ConfigError, match=name):
                 validate_config(RunConfig(r=0.1, **{name: 0}))
 
@@ -182,6 +182,13 @@ class TestPredict:
         path.write_bytes(b"n = 100\nmu_target = \xff\n")
         assert run_cli("predict", "--config", str(path)) == 1
         assert "config error: " in capsys.readouterr().err
+
+    def test_removed_area_samples_key_exits_1(self, tmp_path, capsys):
+        # Region areas are exact, so their sample count is no setting.
+        path = tmp_path / "config.txt"
+        path.write_text("n = 100\nmu_target = 1\narea_samples = 400\n")
+        assert run_cli("bound", "--config", str(path)) == 1
+        assert "unknown configuration key 'area_samples'" in capsys.readouterr().err
 
     def test_internal_value_error_is_not_a_config_error(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
@@ -300,8 +307,7 @@ class TestBound:
         rc = run_cli(
             "bound", "--n", "400", "--alpha", "pi", "--mu-target", "1",
             "--a-set", "set:", "--side", "out", "--out", str(tmp_path),
-            "--outer-samples", "200", "--area-samples", "300",
-            "--ew-samples", "200",
+            "--outer-samples", "200", "--ew-samples", "200",
         )
         assert rc == 0
         payload = json.loads((tmp_path / "report.json").read_text())
@@ -311,8 +317,7 @@ class TestBound:
         rc = run_cli(
             "bound", "--n", "400", "--alpha", "pi", "--mu-target", "1",
             "--side", "out", "--trials", "400", "--out", str(tmp_path),
-            "--outer-samples", "400", "--area-samples", "600",
-            "--ew-samples", "1000", "--with-empirical", "--seed", "6",
+            "--outer-samples", "400", "--ew-samples", "1000", "--with-empirical", "--seed", "6",
         )
         assert rc == 0
         row = json.loads((tmp_path / "report.json").read_text())["bounds"][0]
@@ -322,7 +327,7 @@ class TestBound:
         rc = run_cli(
             "bound", "--n", "400", "--alpha", "pi", "--mu-target", "1",
             "--a-set", "set:1,2", "--a-set", "tail:3", "--side", "out",
-            "--outer-samples", "200", "--area-samples", "300", "--ew-samples", "200",
+            "--outer-samples", "200", "--ew-samples", "200",
             "--seed", "2", "--out", str(tmp_path / "first"),
         )
         assert rc == 0
@@ -336,7 +341,7 @@ class TestBound:
         rows = json.loads(first)["bounds"]
         assert [row["degree_set"] for row in rows] == ["set:1,2", "tail:3"]
 
-    @pytest.mark.parametrize("flag", ["--outer-samples", "--area-samples", "--ew-samples"])
+    @pytest.mark.parametrize("flag", ["--outer-samples", "--ew-samples"])
     def test_zero_samples_exits_1(self, flag, tmp_path, capsys):
         rc = run_cli(
             "bound", "--n", "400", "--alpha", "pi", "--mu-target", "1",
@@ -361,8 +366,7 @@ class TestBound:
         rc = run_cli(
             "bound", "--n", "40000", "--alpha", "2pi", "--r", "0.45",
             "--a-set", "tail:1", "--side", "out", "--out", str(tmp_path),
-            "--outer-samples", "100", "--area-samples", "200",
-            "--ew-samples", "100", "--trunc-cap", "1e-300",
+            "--outer-samples", "100", "--ew-samples", "100", "--trunc-cap", "1e-300",
         )
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err

@@ -1,5 +1,4 @@
 import math
-import threading
 
 import mpmath as mp
 import numpy as np
@@ -18,6 +17,7 @@ from sectorgraphs.geometry import (
     build_index,
     clipped_area,
     clipped_sector_areas,
+    intersection_areas,
     ordered_pairs_within,
     points_in_sector,
     sector_contains,
@@ -220,72 +220,148 @@ class TestLazyArcTest:
         assert np.array_equal(got, want)
 
 
+def _rows(*regions):
+    """``intersection_areas`` input for one row: ``(apex, elevation, angle)``
+    per region."""
+    return [(np.array([apex], dtype=float), np.array([elev]), angle) for apex, elev, angle in regions]
+
+
+def _area(*regions, radius=0.1):
+    return float(intersection_areas(_rows(*regions), radius)[0])
+
+
+def _arc_overlap(e1, w1, e2, w2):
+    """Length of ``[e1, e1 + w1) ∩ [e2, e2 + w2)`` on the circle."""
+    return sum(
+        max(0.0, min(e1 + w1, e2 + w2 + k * TWO_PI) - max(e1, e2 + k * TWO_PI))
+        for k in (-2, -1, 0, 1, 2)
+    )
+
+
+_AXES = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]
+
+# Apexes on each edge and corner, with the arc of directions that point
+# into the square from there.
+_BORDER_APEXES = [
+    ((0.5, 0.0), 0.0, math.pi), ((1.0, 0.5), 0.5 * math.pi, math.pi),
+    ((0.5, 1.0), math.pi, math.pi), ((0.0, 0.5), 1.5 * math.pi, math.pi),
+    ((0.0, 0.0), 0.0, 0.5 * math.pi), ((1.0, 0.0), 0.5 * math.pi, 0.5 * math.pi),
+    ((1.0, 1.0), math.pi, 0.5 * math.pi), ((0.0, 1.0), 1.5 * math.pi, 0.5 * math.pi),
+]
+
+
 class TestClippedArea:
     def test_interior_full_disk(self):
         s = Sector.disk(Point2(0.5, 0.5), 0.1)
-        est, se = clipped_area(s)
-        assert se == 0.0
-        assert est == pytest.approx(math.pi * 0.01, rel=1e-15)
+        assert clipped_area(s) == pytest.approx(math.pi * 0.01, rel=1e-15)
 
     def test_interior_half_disk(self):
         s = Sector(Point2(0.5, 0.5), 1.0, math.pi, 0.1)
-        est, se = clipped_area(s)
-        assert est == pytest.approx(0.5 * math.pi * 0.01, rel=1e-15)
+        assert clipped_area(s) == pytest.approx(0.5 * math.pi * 0.01, rel=1e-15)
 
     def test_corner_quarter_disk(self):
-        s = Sector.disk(Point2(0.0, 0.0), 0.1)
-        est, se = clipped_area(s, samples=200_000, seed=3)
-        assert se > 0.0
-        assert abs(est - 0.25 * math.pi * 0.01) <= 4.0 * se
+        for radius in (0.1, 0.45):
+            for corner in ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)):
+                s = Sector.disk(Point2(*corner), radius)
+                assert clipped_area(s) == pytest.approx(0.25 * math.pi * radius**2, rel=1e-12)
+
+    @pytest.mark.parametrize("radius", [0.1, 0.45])
+    @pytest.mark.parametrize("h", [0.0, 0.01, 0.05, 0.0999])
+    def test_disk_cut_by_one_edge(self, radius, h):
+        want = math.pi * radius**2 - radius**2 * math.acos(h / radius) + h * math.sqrt(radius**2 - h**2)
+        for apex in ((h, 0.5), (0.5, h), (1.0 - h, 0.5), (0.5, 1.0 - h)):
+            assert clipped_area(Sector.disk(Point2(*apex), radius)) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("apex,inward,width", _BORDER_APEXES)
+    def test_apex_on_border_with_axis_elevations(self, apex, inward, width):
+        r = 0.1
+        for angle in (0.5 * math.pi, math.pi, 1.5 * math.pi, TWO_PI):
+            for elev in _AXES:
+                want = 0.5 * r * r * _arc_overlap(elev, angle, inward, width)
+                got = clipped_area(Sector(Point2(*apex), elev, angle, r))
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * r * r)
+                # The region paired with itself: three boundaries meet there.
+                assert _area((apex, elev, angle), (apex, elev, angle)) == pytest.approx(
+                    want, rel=1e-12, abs=1e-12 * r * r
+                )
 
     def test_monotone_in_radius_shared_stream(self):
         apex = Point2(0.03, 0.4)
         radii = [0.05, 0.1, 0.15, 0.2, 0.3, 0.4]
-        estimates = [
-            clipped_area(Sector(apex, 0.7, 4.0, r), samples=50_000, seed=11)[0]
-            for r in radii
-        ]
-        assert all(b >= a for a, b in zip(estimates, estimates[1:]))
+        areas = [clipped_area(Sector(apex, 0.7, 4.0, r)) for r in radii]
+        assert all(b > a for a, b in zip(areas, areas[1:]))
 
     def test_quadrant_additivity(self):
         apex = Point2(0.06, 0.35)
         radius = 0.15
-        full, se_full = clipped_area(Sector.disk(apex, radius), seed=5)
-        parts = [
-            clipped_area(
-                Sector(apex, k * math.pi / 2, math.pi / 2, radius), seed=50 + k
-            )
-            for k in range(4)
-        ]
-        total = sum(p[0] for p in parts)
-        combined = math.sqrt(se_full**2 + sum(p[1] ** 2 for p in parts))
-        assert abs(full - total) <= 4.0 * combined
+        full = clipped_area(Sector.disk(apex, radius))
+        parts = [clipped_area(Sector(apex, k * math.pi / 2, math.pi / 2, radius)) for k in range(4)]
+        assert sum(parts) == pytest.approx(full, rel=1e-12)
+
+    @pytest.mark.parametrize("angle", [1.0, math.pi, 5.0, TWO_PI])
+    def test_against_monte_carlo_oracle(self, angle):
+        rng = np.random.default_rng(17)
+        r, samples = 0.15, 20_000
+        apex = rng.random((120, 2))
+        apex[:20] = rng.integers(0, 2, (20, 2))  # corners
+        elev = TWO_PI * rng.random(120)
+        got = clipped_sector_areas(apex, elev, angle, r)
+        want, se = sampled_clipped_areas(apex, elev, angle, r, samples, np.random.default_rng(18))
+        # A fraction of 0 or 1 has no spread; allow one sample's worth.
+        floor = 0.5 * angle * r * r / samples
+        assert np.all(np.abs(got - want) <= 4.0 * np.maximum(se, floor))
 
 
-class TestRowParts:
-    """``clipped_sector_areas`` draws on the calling thread and splits each
-    block's rows into one part per CPU; the bits must not depend on the
-    number of parts, also when a block has fewer rows than parts."""
+class TestIntersectionAreas:
+    """Exact areas of two regions and the square, against closed forms."""
 
-    @pytest.mark.parametrize("chunk", [2, 5, 512])
-    def test_independent_of_workers(self, monkeypatch, chunk):
-        rng = np.random.default_rng(chunk)
-        apex = rng.random((301, 2))
-        elev = TWO_PI * rng.random(301)
-        monkeypatch.setattr(geometry, "_AREA_CHUNK", chunk)
-        want = sampled_clipped_areas(apex, elev, 2.5, 0.2, 101, np.random.default_rng(8), chunk)
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(geometry, "_cpu_count", lambda: cpus)
-            got = clipped_sector_areas(apex, elev, 2.5, 0.2, 101, np.random.default_rng(8))
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    @pytest.mark.parametrize("radius", [0.1, 0.45])
+    def test_lens_of_interior_disks(self, radius):
+        for d in (0.0, 0.3 * radius, radius, 1.9 * radius, 2.0 * radius):
+            want = 2 * radius**2 * math.acos(d / (2 * radius)) - 0.5 * d * math.sqrt(4 * radius**2 - d**2)
+            got = _area(((0.5 - d / 2, 0.5), 0.0, TWO_PI), ((0.5 + d / 2, 0.5), 0.0, TWO_PI), radius=radius)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * radius**2)
 
-    def test_one_row_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(geometry, "_cpu_count", lambda: 2)
-        started = []
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
-        clipped_area(Sector.disk(Point2(0.0, 0.0), 0.1), samples=100)
-        assert started == []
+    def test_disks_exactly_2r_apart(self):
+        for a, b in (((0.3, 0.5), (0.5, 0.5)), ((0.05, 0.0), (0.05, 0.2)), ((0.5, 0.5), (0.5, 0.7))):
+            assert _area((a, 0.0, TWO_PI), (b, 0.0, TWO_PI)) == 0.0
+
+    @pytest.mark.parametrize("apex", [(0.5, 0.5), (0.03, 0.97), (1.0, 0.3)])
+    def test_identical_regions(self, apex):
+        for angle in (1.0, math.pi, TWO_PI):
+            region = (apex, 0.4, angle)
+            one = clipped_area(Sector(Point2(*apex), 0.4, angle, 0.1))
+            assert _area(region, region) == pytest.approx(one, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "apex,inward,width", [((0.5, 0.5), 0.0, TWO_PI)] + _BORDER_APEXES[:4]
+    )
+    def test_half_disks_with_one_apex(self, apex, inward, width):
+        r = 0.1
+        for e1 in _AXES:
+            for offset in (0.5 * math.pi, math.pi, 1.5 * math.pi):
+                # The arc both half-disks share, then its inward part.
+                near = e1 + (offset - TWO_PI if offset > math.pi else offset)
+                lo, hi = max(e1, near), min(e1, near) + math.pi
+                want = 0.5 * r * r * _arc_overlap(lo, max(hi - lo, 0.0), inward, width)
+                e2 = (e1 + offset) % TWO_PI
+                got = _area((apex, e1, math.pi), (apex, e2, math.pi), radius=r)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * r * r)
+
+    def test_half_disks_offset_by_quarter_and_half_turn(self):
+        r = 0.1
+        quarter = _area(((0.5, 0.5), 0.3, math.pi), ((0.5, 0.5), 0.3 + 0.5 * math.pi, math.pi))
+        assert quarter == pytest.approx(0.25 * math.pi * r * r, rel=1e-12)
+        assert _area(((0.5, 0.5), 0.3, math.pi), ((0.5, 0.5), 0.3 + math.pi, math.pi)) == pytest.approx(
+            0.0, abs=1e-12 * r * r
+        )
+
+    def test_quarter_sector_on_edge_inside_disk(self):
+        sector = ((0.5, 1.0), math.pi, 0.5 * math.pi)
+        disk = ((0.45, 0.95), 0.0, TWO_PI)
+        want = 0.25 * math.pi * 0.1**2
+        assert _area(sector, disk) == pytest.approx(want, rel=1e-12)
+        assert _area(disk, sector) == pytest.approx(want, rel=1e-12)
 
 
 class TestGridIndex:

@@ -226,6 +226,6 @@ class TestWCountCrossCheck:
         records = run_trials(params, 1200, options=opts)
         for side in ("out", "in"):
             w = np.array([rec.w_counts[f"{ds.descriptor()}|{side}"] for rec in records])
-            ew, ew_se = expected_count(params, ds, side, samples=20_000, area_samples=6_000)
+            ew, ew_se = expected_count(params, ds, side, samples=20_000)
             se = math.sqrt(np.var(w) / w.size + ew_se**2)
             assert abs(w.mean() - ew) <= 4 * se
