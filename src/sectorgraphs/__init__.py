@@ -3,7 +3,7 @@ and Poisson-approximation bounds on degree counts.
 
 The top level re-exports the names that ``demos/`` and ``bench/`` import
 from it; everything else is imported from its module, for example
-``sectorgraphs.geometry.clipped_area``.
+``sectorgraphs.geometry.clipped_sector_areas``.
 """
 
 from .bounds import empirical_tv, empirical_tv_bootstrap_se, tv_bound

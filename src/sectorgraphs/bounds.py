@@ -18,6 +18,12 @@ counted by the orientation-thinned process of intensity ``lam * alpha/2pi``).
 The region areas are exact (``geometry.intersection_areas``). The outer
 integrals over locations and orientations are plain Monte Carlo with
 reported standard errors, deterministic given their seeds.
+
+Every step takes a batch of rows, one row per location pair:
+``decompose_regions`` gives the three piece areas of many region pairs
+and ``joint_count_prob`` the joint probability for many rows of Poisson
+means. Each row's result does not depend on the other rows, except that
+the joint sum's term count follows the batch's largest shared mean.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ import numpy as np
 from .degree_sets import DegreeSet, _poisson_pmf, poisson_upper_tail_vec
 from .geometry import (
     TWO_PI,
-    Sector,
     clipped_sector_areas,
     in_unit_square,
     intersection_areas,
@@ -50,29 +55,6 @@ _SIDES = ("out", "in")
 
 class TruncationBudgetExceeded(RuntimeError):
     """The joint-count summation cannot reach the tail cap within the term limit."""
-
-
-@dataclass(frozen=True)
-class ArcIndicator:
-    """Degree shift of a conditioned location: present geometrically or not,
-    and surviving its own fault coin when present."""
-
-    present: bool
-    survive_prob: float
-
-    @property
-    def prob(self) -> float:
-        return self.survive_prob if self.present else 0.0
-
-
-@dataclass(frozen=True)
-class JointRegionDecomposition:
-    """Areas (inside the unit square) of overlap, region-1-only and
-    region-2-only pieces of two equal-radius regions."""
-
-    area_common: float
-    area_only1: float
-    area_only2: float
 
 
 @dataclass
@@ -155,21 +137,25 @@ def _terms_needed(m_max: float, cap: float, max_terms: int) -> int:
     return n
 
 
-def _joint_prob_batch(
+def joint_count_prob(
     mean_common: np.ndarray,
     mean_only1: np.ndarray,
     mean_only2: np.ndarray,
     p1: np.ndarray,
     p2: np.ndarray,
     degree_set: DegreeSet,
-    trunc_cap: float,
-    max_terms: int,
+    trunc_cap: float = 1e-8,
+    max_terms: int = 10_000,
 ) -> tuple[np.ndarray, float]:
     """P[{Nc+N1+B1 in A} and {Nc+N2+B2 in A}] for vectors of Poisson means.
 
-    Sums over the shared count ``Nc`` until residual mass is below
-    ``trunc_cap`` for every row; returns the probabilities and the worst
-    residual, which bounds the truncation error.
+    Per row, ``Nc``, ``N1``, ``N2`` are independent Poisson with means
+    ``mean_common``, ``mean_only1``, ``mean_only2``, and ``B1``, ``B2``
+    are Bernoulli with success probabilities ``p1``, ``p2`` (an absent
+    arc has probability 0). Sums over the shared count ``Nc`` until
+    residual mass is below ``trunc_cap`` for every row, so the number of
+    terms follows the largest ``mean_common``; returns the probabilities
+    and the worst residual, which bounds the truncation error.
     """
     mc = np.asarray(mean_common, dtype=float)
     m_max = float(mc.max()) if mc.size else 0.0
@@ -187,35 +173,7 @@ def _joint_prob_batch(
     return probs, max(residual, 0.0)
 
 
-def joint_count_prob(
-    dec: JointRegionDecomposition,
-    lambda_eff: float,
-    degree_set: DegreeSet,
-    b1: ArcIndicator,
-    b2: ArcIndicator,
-    trunc_cap: float = 1e-8,
-    max_terms: int = 10_000,
-) -> float:
-    """Probability that both counts land in the degree set.
-
-    ``Nc``, ``N1``, ``N2`` are independent Poisson with means ``lambda_eff``
-    times the piece areas; count 1 is ``Nc + N1 + B1``, count 2 is
-    ``Nc + N2 + B2`` with the indicator Bernoullis of ``b1``/``b2``.
-    """
-    probs, _ = _joint_prob_batch(
-        np.array([lambda_eff * dec.area_common]),
-        np.array([lambda_eff * dec.area_only1]),
-        np.array([lambda_eff * dec.area_only2]),
-        np.array([b1.prob]),
-        np.array([b2.prob]),
-        degree_set,
-        trunc_cap,
-        max_terms,
-    )
-    return float(probs[0])
-
-
-def _decompose_batch(
+def decompose_regions(
     region1: tuple, region2: tuple, radius: float, areas1: np.ndarray, areas2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise exact three-piece areas for many region pairs, given each
@@ -237,22 +195,6 @@ def _decompose_batch(
         np.maximum(areas1 - common, 0.0),
         np.maximum(areas2 - common, 0.0),
     )
-
-
-def decompose_regions(region1: Sector, region2: Sector) -> JointRegionDecomposition:
-    """One-row ``_decompose_batch``: exact areas of the three disjoint
-    pieces of two regions of equal radius and angle inside the unit square."""
-    if region1.radius != region2.radius:
-        raise ValueError("regions must share one radius")
-    if region1.central_angle != region2.central_angle:
-        raise ValueError("regions must share one central angle")
-    angle, radius = region1.central_angle, region1.radius
-    rows = [
-        (np.array([[s.apex.x, s.apex.y]]), np.array([s.elevation]), angle) for s in (region1, region2)
-    ]
-    areas = [clipped_sector_areas(*row, radius) for row in rows]
-    pieces = _decompose_batch(*rows, radius, *areas)
-    return JointRegionDecomposition(*(float(p[0]) for p in pieces))
 
 
 def tv_bound(
@@ -316,7 +258,7 @@ def tv_bound(
     truncation = 0.0
     joint = np.zeros(outer_samples)
     if acc.size:
-        c_area, o1_area, o2_area = _decompose_batch(
+        c_area, o1_area, o2_area = decompose_regions(
             (x1[acc], e1[acc], angle), (x2[acc], e2[acc], angle), r, areas1[acc], areas2
         )
         in_s1 = points_in_sector(x1[acc], y1[acc], params.alpha, r, x2[acc])
@@ -329,7 +271,7 @@ def tv_bound(
             # Count 1 is the in-degree at x1: shifted when x2's sector covers x1.
             p_b1 = in_s2 * (1.0 - params.q)
             p_b2 = in_s1 * (1.0 - params.q)
-        probs, truncation = _joint_prob_batch(
+        probs, truncation = joint_count_prob(
             lam_eff * c_area,
             lam_eff * o1_area,
             lam_eff * o2_area,

@@ -195,6 +195,10 @@ def validate_config(cfg: RunConfig, need_radius: bool = True) -> None:
             raise ConfigError(f"{name}: must be >= 1")
     if not (0 < cfg.trunc_cap < 1):
         raise ConfigError("trunc_cap: must lie in (0, 1)")
+    if any(n < 1 for n in cfg.n_grid):
+        raise ConfigError("n_grid: every n must be >= 1")
+    if not all(0 < r < 0.5 for r in cfg.r_grid):
+        raise ConfigError("r_grid: every r must lie in (0, 0.5)")
     for descriptor in cfg.a_sets:
         try:
             DegreeSet.parse(descriptor)

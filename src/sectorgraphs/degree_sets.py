@@ -61,19 +61,6 @@ class DegreeSet:
             raise ValueError("degree sets contain nonnegative integers only")
         return cls(kind="finite", members=vals)
 
-    @classmethod
-    def empty(cls) -> "DegreeSet":
-        return cls.finite(())
-
-    @classmethod
-    def all(cls) -> "DegreeSet":
-        return cls.upper_tail(0)
-
-    def contains(self, j: int) -> bool:
-        if self.kind == "tail":
-            return j >= self.threshold
-        return j in self.members
-
     def count_in(self, degrees: np.ndarray) -> int:
         """How many entries of ``degrees`` lie in the set."""
         degrees = np.asarray(degrees)

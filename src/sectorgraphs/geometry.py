@@ -22,48 +22,6 @@ TWO_PI = 2.0 * math.pi
 _PAIR_CHUNK = 8192
 
 
-@dataclass(frozen=True)
-class Point2:
-    """A point of the unit square."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.x <= 1.0 and 0.0 <= self.y <= 1.0):
-            raise ValueError(f"point ({self.x}, {self.y}) outside [0,1]^2")
-
-
-@dataclass(frozen=True)
-class Sector:
-    """Circular sector with apex, anticlockwise elevation, angle and radius.
-
-    ``central_angle == 2*pi`` makes the sector the full disk around the apex.
-    """
-
-    apex: Point2
-    elevation: float
-    central_angle: float
-    radius: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.elevation < TWO_PI):
-            raise ValueError(f"elevation {self.elevation} outside [0, 2*pi)")
-        if not (0.0 < self.central_angle <= TWO_PI):
-            raise ValueError(f"central_angle {self.central_angle} outside (0, 2*pi]")
-        if not self.radius > 0.0:
-            raise ValueError(f"radius {self.radius} must be positive")
-
-    @classmethod
-    def disk(cls, apex: Point2, radius: float) -> "Sector":
-        return cls(apex=apex, elevation=0.0, central_angle=TWO_PI, radius=radius)
-
-    @property
-    def area(self) -> float:
-        """Unclipped area, ``central_angle / 2 * radius**2``."""
-        return 0.5 * self.central_angle * self.radius**2
-
-
 def angle_in_arc(dx, dy, elevation, width):
     """True where the direction of ``(dx, dy)`` lies in ``[elevation, elevation+width) mod 2*pi``.
 
@@ -98,13 +56,6 @@ def points_in_sector(
     if central_angle < TWO_PI:
         inside[inside] = angle_in_arc(dx[inside], dy[inside], elev[inside], central_angle)
     return inside
-
-
-def sector_contains(s: Sector, p: Point2) -> bool:
-    """One-point ``points_in_sector``."""
-    return bool(
-        points_in_sector((s.apex.x, s.apex.y), s.elevation, s.central_angle, s.radius, (p.x, p.y))
-    )
 
 
 def in_unit_square(points: np.ndarray) -> np.ndarray:
@@ -284,12 +235,6 @@ def clipped_sector_areas(
             [(apex[clipped], elev[clipped], central_angle)], radius
         )
     return areas
-
-
-def clipped_area(s: Sector) -> float:
-    """One-row ``clipped_sector_areas``."""
-    apex = np.array([[s.apex.x, s.apex.y]])
-    return float(clipped_sector_areas(apex, s.elevation, s.central_angle, s.radius)[0])
 
 
 @dataclass

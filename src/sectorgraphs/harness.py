@@ -23,7 +23,14 @@ from .model import (
     sample_graph,
 )
 from .randomness import TrialStream, substream
-from .theory import TWO_POINT_CONVENTION, FocusingPrediction, predict
+from .theory import (
+    TWO_POINT_CONVENTION,
+    FocusingPrediction,
+    NoFocusingIndex,
+    RadiusOutOfRange,
+    predict,
+    radius_for_mean_degree,
+)
 
 _DOM_AGREE_BOOT = 0xA61
 
@@ -32,7 +39,6 @@ _DOM_AGREE_BOOT = 0xA61
 class TrialOptions:
     """What to record per trial beyond counts and maxima."""
 
-    collect_hist: bool = False
     w_sets: tuple[tuple[DegreeSet, str], ...] = ()
     interior_degrees: bool = False
 
@@ -46,8 +52,6 @@ class TrialRecord:
     max_out: int
     max_in: int
     empty: bool
-    hist_out: dict[int, int] | None = None
-    hist_in: dict[int, int] | None = None
     w_counts: dict[str, int] | None = None
     interior_sum: int | None = None
     interior_count: int | None = None
@@ -120,11 +124,6 @@ def run_one_trial(
         max_in=summary.max_in,
         empty=summary.empty,
     )
-    if options.collect_hist:
-        out_counts = np.bincount(summary.out_degrees) if not summary.empty else np.zeros(1, dtype=np.int64)
-        in_counts = np.bincount(summary.in_degrees) if not summary.empty else np.zeros(1, dtype=np.int64)
-        rec.hist_out = {int(k): int(c) for k, c in enumerate(out_counts) if c}
-        rec.hist_in = {int(k): int(c) for k, c in enumerate(in_counts) if c}
     if options.w_sets:
         rec.w_counts = {}
         for ds, side in options.w_sets:
@@ -285,14 +284,13 @@ def sweep(
     parallelism: int = 1,
     sides: tuple[str, ...] = ("out", "in"),
 ) -> list[SweepPoint]:
-    """One verification per grid point; a failing point records its error
-    and does not abort the rest.
+    """One verification per grid point. A point beyond the model's limits
+    (``RadiusOutOfRange``, ``NoFocusingIndex``) records its error and does
+    not abort the rest; any other error propagates.
 
     The radius schedule is either fixed mean degree (``mu_target``) or an
     explicit ``r_list`` aligned with ``n_grid``.
     """
-    from .theory import radius_for_mean_degree
-
     if not n_grid:
         raise ValueError("n_grid must be nonempty")
     if (mu_target is None) == (r_list is None):
@@ -310,7 +308,7 @@ def sweep(
             p = replace(params, n=int(n), r=r)
             report, _ = verify(p, trials, slack=slack, parallelism=parallelism, sides=sides)
             points.append(SweepPoint(n=int(n), r=r, report=report))
-        except Exception as exc:  # per-point isolation
+        except (RadiusOutOfRange, NoFocusingIndex) as exc:
             points.append(SweepPoint(n=int(n), r=float("nan"), error=str(exc)))
     return points
 

@@ -145,7 +145,7 @@ def sampled_clipped_areas(apex_xy, elevation, central_angle, radius, samples, rn
 
 
 def sampled_decomposition(apex1, elev1, apex2, elev2, angle, radius, samples, rng, chunk=128):
-    """Monte Carlo three-piece areas of ``bounds._decompose_batch``: per
+    """Monte Carlo three-piece areas of ``bounds.decompose_regions``: per
     block of ``chunk`` rows, region 1's points against the square and
     region 2, then region 2's points against the square and region 1.
     Each piece is the full sector area times a binomial fraction of

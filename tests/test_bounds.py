@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import sampled_decomposition
-from sectorgraphs import bounds
 from sectorgraphs.bounds import (
-    ArcIndicator,
-    JointRegionDecomposition,
     TruncationBudgetExceeded,
-    _joint_prob_batch,
     decompose_regions,
     empirical_tv,
     expected_count,
@@ -19,28 +15,31 @@ from sectorgraphs.bounds import (
     tv_bound,
 )
 from sectorgraphs.degree_sets import DegreeSet
-from sectorgraphs.geometry import Point2, Sector, TWO_PI, clipped_area, clipped_sector_areas
+from sectorgraphs.geometry import TWO_PI, clipped_sector_areas, in_unit_square, points_in_sector
 from sectorgraphs.harness import run_trials
 from sectorgraphs.model import ModelParams
 from sectorgraphs.theory import poisson_upper_tail, predict, radius_for_mean_degree
 
-B_OFF = ArcIndicator(present=False, survive_prob=0.8)
 
 
-def _dec(common: float, only1: float, only2: float) -> JointRegionDecomposition:
-    return JointRegionDecomposition(common, only1, only2)
+def _joint(common, only1, only2, lam, degree_set, p1=0.0, p2=0.0, **kwargs):
+    """``joint_count_prob`` of one row of piece areas scaled by ``lam``,
+    with arc probabilities ``p1``, ``p2`` (0 for an absent arc)."""
+    means = [np.array([lam * area]) for area in (common, only1, only2)]
+    probs, _ = joint_count_prob(*means, np.array([p1]), np.array([p2]), degree_set, **kwargs)
+    return float(probs[0])
 
 
 class TestExpectedCount:
     def test_all_degrees_gives_alive_mean(self):
         params = ModelParams(n=5000, alpha=math.pi, r=0.02, v=0.25, q=0.1, mode="poisson")
-        ew, se = expected_count(params, DegreeSet.all(), "out", samples=400)
+        ew, se = expected_count(params, DegreeSet.upper_tail(0), "out", samples=400)
         assert ew == pytest.approx(0.75 * 5000, rel=1e-12)
         assert se == 0.0
 
     def test_empty_set_gives_zero(self):
         params = ModelParams(n=5000, alpha=math.pi, r=0.02, v=0.0, q=0.0, mode="poisson")
-        ew, se = expected_count(params, DegreeSet.empty(), "in", samples=400)
+        ew, se = expected_count(params, DegreeSet.finite(()), "in", samples=400)
         assert ew == 0.0 and se == 0.0
 
     def test_matches_boundary_free_closed_form(self):
@@ -72,46 +71,43 @@ def _random_pairs(seed, m, r):
     return a1, TWO_PI * rng.random(m), a2, TWO_PI * rng.random(m)
 
 
+def _row(apex, elev, angle):
+    """One region row: ``((1, 2) apex, (1,) elevation, angle)``."""
+    return np.array([apex], dtype=float), np.array([elev], dtype=float), angle
+
+
+def _decompose(region1, region2, r):
+    """``decompose_regions`` given each region's clipped areas."""
+    areas = [clipped_sector_areas(*region, r) for region in (region1, region2)]
+    return decompose_regions(region1, region2, r, *areas)
+
+
 class TestDecomposeRegions:
     def test_identical_regions(self):
-        for apex in (Point2(0.5, 0.5), Point2(0.02, 0.5), Point2(1.0, 1.0)):
-            s = Sector(apex, 0.3, 2.0, 0.1)
-            dec = decompose_regions(s, s)
-            assert dec.area_only1 == pytest.approx(0.0, abs=1e-12 * s.area)
-            assert dec.area_only2 == pytest.approx(0.0, abs=1e-12 * s.area)
-            assert dec.area_common == pytest.approx(clipped_area(s), rel=1e-12)
+        for apex in ((0.5, 0.5), (0.02, 0.5), (1.0, 1.0)):
+            s = _row(apex, 0.3, 2.0)
+            full = 0.5 * 2.0 * 0.1**2
+            common, only1, only2 = _decompose(s, s, 0.1)
+            assert only1[0] == pytest.approx(0.0, abs=1e-12 * full)
+            assert only2[0] == pytest.approx(0.0, abs=1e-12 * full)
+            assert common[0] == pytest.approx(clipped_sector_areas(*s, 0.1)[0], rel=1e-12)
 
     def test_disjoint_regions(self):
-        s1 = Sector.disk(Point2(0.05, 0.05), 0.1)
-        s2 = Sector.disk(Point2(0.9, 0.9), 0.1)
-        dec = decompose_regions(s1, s2)
-        assert dec.area_common == 0.0
-
-    def test_radius_mismatch_rejected(self):
-        s1 = Sector.disk(Point2(0.3, 0.3), 0.1)
-        s2 = Sector.disk(Point2(0.3, 0.3), 0.2)
-        with pytest.raises(ValueError):
-            decompose_regions(s1, s2)
-
-    def test_angle_mismatch_rejected(self):
-        s1 = Sector(Point2(0.3, 0.3), 0.0, 2.0, 0.1)
-        s2 = Sector(Point2(0.3, 0.3), 0.0, 3.0, 0.1)
-        with pytest.raises(ValueError):
-            decompose_regions(s1, s2)
+        s1 = _row((0.05, 0.05), 0.0, TWO_PI)
+        s2 = _row((0.9, 0.9), 0.0, TWO_PI)
+        common, _, _ = _decompose(s1, s2, 0.1)
+        assert common[0] == 0.0
 
     def test_pieces_sum_to_union_area(self):
-        s1 = Sector(Point2(0.4, 0.42), 0.5, 4.0, 0.15)
-        s2 = Sector(Point2(0.47, 0.4), 2.5, 4.0, 0.15)
-        dec = decompose_regions(s1, s2)
-        total = dec.area_common + dec.area_only1 + dec.area_only2
+        s1 = _row((0.4, 0.42), 0.5, 4.0)
+        s2 = _row((0.47, 0.4), 2.5, 4.0)
+        total = sum(piece[0] for piece in _decompose(s1, s2, 0.15))
         # Independent union estimate: rejection from the covering box.
         rng = np.random.default_rng(99)
         lo = np.array([0.4 - 0.15, 0.4 - 0.15])
         hi = np.array([0.47 + 0.15, 0.42 + 0.15])
         box = np.prod(hi - lo)
         pts = lo + (hi - lo) * rng.random((400_000, 2))
-        from sectorgraphs.geometry import in_unit_square, points_in_sector
-
         in1 = points_in_sector(np.array([0.4, 0.42]), 0.5, 4.0, 0.15, pts)
         in2 = points_in_sector(np.array([0.47, 0.4]), 2.5, 4.0, 0.15, pts)
         mask = (in1 | in2) & in_unit_square(pts)
@@ -121,30 +117,29 @@ class TestDecomposeRegions:
         assert abs(total - union) <= 4 * union_se
 
     def test_consistency_with_clipped_area(self):
-        s1 = Sector(Point2(0.05, 0.5), 1.0, 3.0, 0.12)
-        s2 = Sector(Point2(0.1, 0.55), 4.0, 3.0, 0.12)
-        dec = decompose_regions(s1, s2)
-        assert dec.area_common + dec.area_only1 == pytest.approx(clipped_area(s1), rel=1e-14)
-        assert dec.area_common + dec.area_only2 == pytest.approx(clipped_area(s2), rel=1e-14)
+        s1 = _row((0.05, 0.5), 1.0, 3.0)
+        s2 = _row((0.1, 0.55), 4.0, 3.0)
+        common, only1, only2 = _decompose(s1, s2, 0.12)
+        assert common[0] + only1[0] == pytest.approx(clipped_sector_areas(*s1, 0.12)[0], rel=1e-14)
+        assert common[0] + only2[0] == pytest.approx(clipped_sector_areas(*s2, 0.12)[0], rel=1e-14)
 
     @pytest.mark.parametrize("angle", [1.0, math.pi, TWO_PI])
     def test_symmetric_and_summing_to_clipped_areas(self, angle):
         r = 0.12
-        for a1, e1, a2, e2 in zip(*_random_pairs(11, 60, r)):
-            s1 = Sector(Point2(*a1), e1, angle, r)
-            s2 = Sector(Point2(*a2), e2, angle, r)
-            dec, back = decompose_regions(s1, s2), decompose_regions(s2, s1)
-            assert back.area_common == pytest.approx(dec.area_common, rel=1e-14, abs=1e-14 * s1.area)
-            assert dec.area_common + dec.area_only1 == pytest.approx(clipped_area(s1), rel=1e-14)
-            assert dec.area_common + dec.area_only2 == pytest.approx(clipped_area(s2), rel=1e-14)
+        a1, e1, a2, e2 = _random_pairs(11, 60, r)
+        s1, s2 = (a1, e1, angle), (a2, e2, angle)
+        common, only1, only2 = _decompose(s1, s2, r)
+        back, _, _ = _decompose(s2, s1, r)
+        full = 0.5 * angle * r * r
+        assert back == pytest.approx(common, rel=1e-14, abs=1e-14 * full)
+        assert common + only1 == pytest.approx(clipped_sector_areas(*s1, r), rel=1e-14)
+        assert common + only2 == pytest.approx(clipped_sector_areas(*s2, r), rel=1e-14)
 
     @pytest.mark.parametrize("angle", [1.0, math.pi, 5.0, TWO_PI])
     def test_against_monte_carlo_oracle(self, angle):
         r, samples = 0.15, 20_000
         a1, e1, a2, e2 = _random_pairs(7, 120, r)
-        regions = (a1, e1, angle), (a2, e2, angle)
-        areas = [clipped_sector_areas(*region, r) for region in regions]
-        got = bounds._decompose_batch(*regions, r, *areas)
+        got = _decompose((a1, e1, angle), (a2, e2, angle), r)
         want = sampled_decomposition(a1, e1, a2, e2, angle, r, samples, np.random.default_rng(8))
         full = 0.5 * angle * r * r
         for g, w in zip(got, want):
@@ -152,55 +147,67 @@ class TestDecomposeRegions:
             se = np.maximum(np.sqrt(w * (full - w) / samples), full / samples)
             assert np.all(np.abs(g - w) <= 4.0 * se)
 
+    @pytest.mark.parametrize("angle", [1.0, math.pi, TWO_PI])
+    def test_rows_do_not_depend_on_neighbours(self, angle):
+        r = 0.12
+        a1, e1, a2, e2 = _random_pairs(13, 40, r)
+        # Apexes on one point, near 2r apart, far apart, and on two corners.
+        a1 = np.concatenate((a1, [[0.5, 0.5], [0.3, 0.5], [0.1, 0.1], [0.0, 1.0]]))
+        a2 = np.concatenate((a2, [[0.5, 0.5], [0.54, 0.5], [0.9, 0.9], [1.0, 1.0]]))
+        e1 = np.concatenate((e1, [0.3, 1.0, 2.0, 4.0]))
+        e2 = np.concatenate((e2, [0.3, 4.0, 5.0, 3.0]))
+        near = np.sum((a1 - a2) ** 2, axis=1) <= (2 * r) ** 2
+        assert near.any() and not near.all()
+        regions = (a1, e1, angle), (a2, e2, angle)
+        areas = [clipped_sector_areas(*region, r) for region in regions]
+        batch = decompose_regions(*regions, r, *areas)
+        for i in range(len(a1)):
+            rows = [(a[i : i + 1], e[i : i + 1], angle) for a, e, _ in regions]
+            alone = _decompose(*rows, r)
+            assert all(np.array_equal(piece[i : i + 1], one) for piece, one in zip(batch, alone))
+
 
 class TestJointCountProb:
     def test_no_overlap_factorizes(self):
         ds = DegreeSet.upper_tail(2)
-        dec = _dec(0.0, 0.03, 0.05)
         lam = 40.0
-        got = joint_count_prob(dec, lam, ds, B_OFF, B_OFF)
+        got = _joint(0.0, 0.03, 0.05, lam, ds)
         want = poisson_upper_tail(lam * 0.03, 2) * poisson_upper_tail(lam * 0.05, 2)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_identical_regions_zero_event(self):
         ds = DegreeSet.finite([0])
-        dec = _dec(0.04, 0.0, 0.0)
         lam = 30.0
-        got = joint_count_prob(dec, lam, ds, B_OFF, B_OFF)
+        got = _joint(0.04, 0.0, 0.0, lam, ds)
         assert got == pytest.approx(math.exp(-lam * 0.04), rel=1e-9)
 
     def test_indicator_shifts_threshold(self):
         # With certain indicators on both sides, {>= t} behaves like {>= t-1}.
         ds = DegreeSet.upper_tail(3)
         ds_shift = DegreeSet.upper_tail(2)
-        dec = _dec(0.01, 0.02, 0.015)
+        dec = (0.01, 0.02, 0.015)
         lam = 50.0
-        on = ArcIndicator(present=True, survive_prob=1.0)
-        got = joint_count_prob(dec, lam, ds, on, on)
-        want = joint_count_prob(dec, lam, ds_shift, B_OFF, B_OFF)
+        got = _joint(*dec, lam, ds, 1.0, 1.0)
+        want = _joint(*dec, lam, ds_shift)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_symmetry_under_swap(self):
         ds = DegreeSet.upper_tail(4)
         lam = 60.0
-        b1 = ArcIndicator(present=True, survive_prob=0.7)
-        b2 = ArcIndicator(present=False, survive_prob=0.7)
-        a = joint_count_prob(_dec(0.02, 0.03, 0.01), lam, ds, b1, b2)
-        b = joint_count_prob(_dec(0.02, 0.01, 0.03), lam, ds, b2, b1)
+        a = _joint(0.02, 0.03, 0.01, lam, ds, 0.7, 0.0)
+        b = _joint(0.02, 0.01, 0.03, lam, ds, 0.0, 0.7)
         assert a == pytest.approx(b, rel=1e-11)
 
     def test_against_simulation_oracle(self):
         ds = DegreeSet.upper_tail(3)
         lam = 55.0
-        dec = _dec(0.02, 0.025, 0.01)
-        b1 = ArcIndicator(present=True, survive_prob=0.8)
-        b2 = ArcIndicator(present=True, survive_prob=0.8)
-        got = joint_count_prob(dec, lam, ds, b1, b2)
+        common, only1, only2 = 0.02, 0.025, 0.01
+        got = _joint(common, only1, only2, lam, ds, 0.8, 0.8)
         rng = np.random.default_rng(12345)
         draws = 10**6
-        nc = rng.poisson(lam * dec.area_common, draws)
-        n1 = rng.poisson(lam * dec.area_only1, draws)
-        n2 = rng.poisson(lam * dec.area_only2, draws)
+        nc = rng.poisson(lam * common, draws)
+        n1 = rng.poisson(lam * only1, draws)
+        n2 = rng.poisson(lam * only2, draws)
         i1 = rng.random(draws) < 0.8
         i2 = rng.random(draws) < 0.8
         hits = ((nc + n1 + i1 >= 3) & (nc + n2 + i2 >= 3)).mean()
@@ -210,13 +217,13 @@ class TestJointCountProb:
     def test_finite_set_against_simulation_oracle(self):
         ds = DegreeSet.finite([1, 3])
         lam = 45.0
-        dec = _dec(0.015, 0.02, 0.03)
-        got = joint_count_prob(dec, lam, ds, B_OFF, B_OFF)
+        common, only1, only2 = 0.015, 0.02, 0.03
+        got = _joint(common, only1, only2, lam, ds)
         rng = np.random.default_rng(54321)
         draws = 10**6
-        nc = rng.poisson(lam * dec.area_common, draws)
-        n1 = rng.poisson(lam * dec.area_only1, draws)
-        n2 = rng.poisson(lam * dec.area_only2, draws)
+        nc = rng.poisson(lam * common, draws)
+        n1 = rng.poisson(lam * only1, draws)
+        n2 = rng.poisson(lam * only2, draws)
         c1 = nc + n1
         c2 = nc + n2
         hits = (((c1 == 1) | (c1 == 3)) & ((c2 == 1) | (c2 == 3))).mean()
@@ -229,7 +236,7 @@ class TestJointCountProb:
         m1, m2 = 0.03, 0.02
         errors = []
         for common in (0.02, 0.01, 0.005, 0.002, 0.0005, 0.0001):
-            joint = joint_count_prob(_dec(common, m1, m2), lam, ds, B_OFF, B_OFF)
+            joint = _joint(common, m1, m2, lam, ds)
             product = poisson_upper_tail(lam * (common + m1), 2) * poisson_upper_tail(
                 lam * (common + m2), 2
             )
@@ -243,15 +250,31 @@ class TestJointCountProb:
         m1 = np.array([0.5, 0.8])
         m2 = np.array([0.2, 0.9])
         p = np.array([0.5, 0.0])
-        loose, res_loose = _joint_prob_batch(mc, m1, m2, p, p, ds, 1e-4, 10_000)
-        tight, res_tight = _joint_prob_batch(mc, m1, m2, p, p, ds, 1e-9, 10_000)
+        loose, res_loose = joint_count_prob(mc, m1, m2, p, p, ds, 1e-4, 10_000)
+        tight, res_tight = joint_count_prob(mc, m1, m2, p, p, ds, 1e-9, 10_000)
         assert res_tight < res_loose <= 1e-4 * 1.01
         assert np.max(np.abs(loose - tight)) <= res_loose
+
+    @pytest.mark.parametrize("ds", [DegreeSet.upper_tail(3), DegreeSet.finite([1, 3])])
+    def test_rows_do_not_depend_on_neighbours(self, ds):
+        # A row alone sums only as many terms as its own shared mean needs;
+        # both it and the batch row lie below the exact value by at most
+        # their residuals. A residual is ``1 - sum(pmf)`` in doubles, so
+        # it carries rounding of order 1e-16.
+        rng = np.random.default_rng(29)
+        mc = np.concatenate(([0.0, 0.0, 12.0], rng.uniform(0.0, 3.0, 40)))
+        m1, m2 = rng.uniform(0.0, 2.0, (2, mc.size))
+        p1, p2 = rng.choice([0.0, 0.8, 1.0], (2, mc.size))
+        probs, residual = joint_count_prob(mc, m1, m2, p1, p2, ds)
+        for i in range(mc.size):
+            row = (x[i : i + 1] for x in (mc, m1, m2, p1, p2))
+            one, res_one = joint_count_prob(*row, ds)
+            assert abs(one[0] - probs[i]) <= max(residual, res_one) + 1e-14
 
     def test_budget_exceeded(self):
         ds = DegreeSet.upper_tail(2)
         with pytest.raises(TruncationBudgetExceeded):
-            joint_count_prob(_dec(10.0, 0.0, 0.0), 100.0, ds, B_OFF, B_OFF, max_terms=50)
+            _joint(10.0, 0.0, 0.0, 100.0, ds, max_terms=50)
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +288,7 @@ class TestTvBound:
 
     def test_empty_set_gives_zero(self, small_config):
         rep = tv_bound(
-            small_config, DegreeSet.empty(), "out",
+            small_config, DegreeSet.finite(()), "out",
             outer_samples=300, ew_samples=300,
         )
         assert rep.i1 == 0.0 and rep.i2 == 0.0 and rep.bound == 0.0

@@ -86,13 +86,22 @@ class TestConfig:
             with pytest.raises(ConfigError, match=name):
                 validate_config(RunConfig(r=0.1, **{name: 0}))
 
+    def test_grid_entries_rejected(self):
+        for n_grid in ((0,), (100, -1)):
+            with pytest.raises(ConfigError, match="n_grid"):
+                validate_config(RunConfig(mu_target=1.0, n_grid=n_grid), need_radius=False)
+        for r_grid in ((0.0,), (0.1, 0.5), (0.6,), (-0.1,)):
+            with pytest.raises(ConfigError, match="r_grid"):
+                validate_config(RunConfig(n_grid=(100,), r_grid=r_grid), need_radius=False)
+        validate_config(RunConfig(n_grid=(1, 100), r_grid=(1e-9, 0.49)), need_radius=False)
+
     def test_negative_tail_rejected(self):
         with pytest.raises(ValueError, match="tail:-1"):
             DegreeSet.parse("tail:-1")
         with pytest.raises(ConfigError, match="a_sets: .*tail:-1"):
             validate_config(RunConfig(r=0.1, a_sets=("tail:-1",)))
-        assert DegreeSet.parse("tail:0") == DegreeSet.all()
-        assert DegreeSet.upper_tail(-1) == DegreeSet.all()
+        assert DegreeSet.parse("tail:0") == DegreeSet.upper_tail(0)
+        assert DegreeSet.upper_tail(-1) == DegreeSet.upper_tail(0)
         validate_config(RunConfig(r=0.1, a_sets=("tail:0",)))
 
     def test_degree_sets_with_commas_round_trip(self):
@@ -415,6 +424,19 @@ class TestSweep:
         rows = (tmp_path / "summary.csv").read_text().splitlines()
         verdicts = [row.split(",")[-1] for row in rows]
         assert verdicts[1].startswith("ERROR:") and verdicts[2] == "PASS"
+
+    @pytest.mark.parametrize(
+        "grid,field",
+        [
+            (("--n-grid", "0,2000", "--mu-target", "1"), "n_grid"),
+            (("--n-grid", "400,400", "--r-grid", "0.6,0.01"), "r_grid"),
+        ],
+    )
+    def test_invalid_grid_entry_exits_1(self, tmp_path, capsys, grid, field):
+        rc = run_cli("sweep", *grid, "--alpha", "pi", "--trials", "10", "--out", str(tmp_path / "d"))
+        assert rc == 1
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "d/summary.csv").exists()
 
     def test_misaligned_radius_grid_exits_1(self, capsys):
         rc = run_cli("sweep", "--n-grid", "100,200", "--r-grid", "0.1", "--trials", "2")

@@ -10,17 +10,13 @@ from oracles import eager_points_in_sector, sampled_clipped_areas
 from sectorgraphs import geometry
 from sectorgraphs.geometry import (
     _cell_keys,
-    Point2,
-    Sector,
     TWO_PI,
     angle_in_arc,
     build_index,
-    clipped_area,
     clipped_sector_areas,
     intersection_areas,
     ordered_pairs_within,
     points_in_sector,
-    sector_contains,
 )
 
 
@@ -86,25 +82,6 @@ def _index_pairs(pts: np.ndarray, cell_size: float, radius: float) -> set[tuple[
     return set(zip(gi.tolist(), gj.tolist()))
 
 
-class TestTypes:
-    def test_point_outside_square_rejected(self):
-        with pytest.raises(ValueError):
-            Point2(1.2, 0.5)
-        with pytest.raises(ValueError):
-            Point2(0.5, -0.001)
-
-    def test_sector_field_validation(self):
-        apex = Point2(0.5, 0.5)
-        with pytest.raises(ValueError):
-            Sector(apex, -0.1, math.pi, 0.1)
-        with pytest.raises(ValueError):
-            Sector(apex, 0.0, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            Sector(apex, 0.0, 2.5 * TWO_PI, 0.1)
-        with pytest.raises(ValueError):
-            Sector(apex, 0.0, math.pi, 0.0)
-
-
 class TestAngleInArc:
     def test_full_circle_matches_extended_precision(self):
         # Width 2*pi is the whole circle, so every direction is inside. For
@@ -131,27 +108,24 @@ class TestAngleInArc:
 
 
 class TestSectorContains:
+    """``points_in_sector`` of one apex and one point."""
+
     def test_interior_point(self):
-        s = Sector(Point2(0.5, 0.5), 0.0, math.pi / 2, 0.1)
-        assert sector_contains(s, Point2(0.55, 0.55))
+        assert points_in_sector((0.5, 0.5), 0.0, math.pi / 2, 0.1, (0.55, 0.55))
 
     def test_outside_radius(self):
-        s = Sector(Point2(0.5, 0.5), 0.0, math.pi / 2, 0.1)
-        assert not sector_contains(s, Point2(0.5, 0.39))
+        assert not points_in_sector((0.5, 0.5), 0.0, math.pi / 2, 0.1, (0.5, 0.39))
 
     def test_wraparound_arc(self):
-        s = Sector(Point2(0.5, 0.5), 7 * math.pi / 4, math.pi / 2, 0.1)
-        assert sector_contains(s, Point2(0.58, 0.5))
+        assert points_in_sector((0.5, 0.5), 7 * math.pi / 4, math.pi / 2, 0.1, (0.58, 0.5))
 
     def test_apex_excluded(self):
-        s = Sector(Point2(0.5, 0.5), 0.0, TWO_PI, 0.1)
-        assert not sector_contains(s, Point2(0.5, 0.5))
+        assert not points_in_sector((0.5, 0.5), 0.0, TWO_PI, 0.1, (0.5, 0.5))
 
     def test_full_disk_ignores_angle(self):
-        s = Sector(Point2(0.5, 0.5), 1.234, TWO_PI, 0.2)
-        for ang in np.linspace(0, TWO_PI, 17, endpoint=False):
-            p = Point2(0.5 + 0.15 * math.cos(ang), 0.5 + 0.15 * math.sin(ang))
-            assert sector_contains(s, p)
+        ang = np.linspace(0, TWO_PI, 17, endpoint=False)
+        points = np.stack((0.5 + 0.15 * np.cos(ang), 0.5 + 0.15 * np.sin(ang)), axis=-1)
+        assert np.all(points_in_sector((0.5, 0.5), 1.234, TWO_PI, 0.2, points))
 
     def test_matches_extended_precision(self):
         # Direct evaluation of distance and reduced angle at 50 digits.
@@ -164,8 +138,7 @@ class TestSectorContains:
                 width = float(TWO_PI * rng.random()) or 1e-3
                 radius = float(0.01 + 0.3 * rng.random())
                 px, py = rng.random(2)
-                s = Sector(Point2(ax, ay), elev, width, radius)
-                got = sector_contains(s, Point2(px, py))
+                got = bool(points_in_sector((ax, ay), elev, width, radius, (px, py)))
                 dx, dy = mp.mpf(px) - mp.mpf(ax), mp.mpf(py) - mp.mpf(ay)
                 d2 = dx * dx + dy * dy
                 if d2 == 0 or d2 > mp.mpf(radius) ** 2:
@@ -230,6 +203,11 @@ def _area(*regions, radius=0.1):
     return float(intersection_areas(_rows(*regions), radius)[0])
 
 
+def _clipped(apex, elev, angle, radius):
+    """``clipped_sector_areas`` of one row."""
+    return float(clipped_sector_areas(np.array([apex], dtype=float), np.array([elev]), angle, radius)[0])
+
+
 def _arc_overlap(e1, w1, e2, w2):
     """Length of ``[e1, e1 + w1) ∩ [e2, e2 + w2)`` on the circle."""
     return sum(
@@ -252,25 +230,24 @@ _BORDER_APEXES = [
 
 class TestClippedArea:
     def test_interior_full_disk(self):
-        s = Sector.disk(Point2(0.5, 0.5), 0.1)
-        assert clipped_area(s) == pytest.approx(math.pi * 0.01, rel=1e-15)
+        assert _clipped((0.5, 0.5), 0.0, TWO_PI, 0.1) == pytest.approx(math.pi * 0.01, rel=1e-15)
 
     def test_interior_half_disk(self):
-        s = Sector(Point2(0.5, 0.5), 1.0, math.pi, 0.1)
-        assert clipped_area(s) == pytest.approx(0.5 * math.pi * 0.01, rel=1e-15)
+        want = 0.5 * math.pi * 0.01
+        assert _clipped((0.5, 0.5), 1.0, math.pi, 0.1) == pytest.approx(want, rel=1e-15)
 
     def test_corner_quarter_disk(self):
         for radius in (0.1, 0.45):
             for corner in ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)):
-                s = Sector.disk(Point2(*corner), radius)
-                assert clipped_area(s) == pytest.approx(0.25 * math.pi * radius**2, rel=1e-12)
+                got = _clipped(corner, 0.0, TWO_PI, radius)
+                assert got == pytest.approx(0.25 * math.pi * radius**2, rel=1e-12)
 
     @pytest.mark.parametrize("radius", [0.1, 0.45])
     @pytest.mark.parametrize("h", [0.0, 0.01, 0.05, 0.0999])
     def test_disk_cut_by_one_edge(self, radius, h):
         want = math.pi * radius**2 - radius**2 * math.acos(h / radius) + h * math.sqrt(radius**2 - h**2)
         for apex in ((h, 0.5), (0.5, h), (1.0 - h, 0.5), (0.5, 1.0 - h)):
-            assert clipped_area(Sector.disk(Point2(*apex), radius)) == pytest.approx(want, rel=1e-12)
+            assert _clipped(apex, 0.0, TWO_PI, radius) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("apex,inward,width", _BORDER_APEXES)
     def test_apex_on_border_with_axis_elevations(self, apex, inward, width):
@@ -278,7 +255,7 @@ class TestClippedArea:
         for angle in (0.5 * math.pi, math.pi, 1.5 * math.pi, TWO_PI):
             for elev in _AXES:
                 want = 0.5 * r * r * _arc_overlap(elev, angle, inward, width)
-                got = clipped_area(Sector(Point2(*apex), elev, angle, r))
+                got = _clipped(apex, elev, angle, r)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * r * r)
                 # The region paired with itself: three boundaries meet there.
                 assert _area((apex, elev, angle), (apex, elev, angle)) == pytest.approx(
@@ -286,16 +263,16 @@ class TestClippedArea:
                 )
 
     def test_monotone_in_radius_shared_stream(self):
-        apex = Point2(0.03, 0.4)
+        apex = (0.03, 0.4)
         radii = [0.05, 0.1, 0.15, 0.2, 0.3, 0.4]
-        areas = [clipped_area(Sector(apex, 0.7, 4.0, r)) for r in radii]
+        areas = [_clipped(apex, 0.7, 4.0, r) for r in radii]
         assert all(b > a for a, b in zip(areas, areas[1:]))
 
     def test_quadrant_additivity(self):
-        apex = Point2(0.06, 0.35)
+        apex = (0.06, 0.35)
         radius = 0.15
-        full = clipped_area(Sector.disk(apex, radius))
-        parts = [clipped_area(Sector(apex, k * math.pi / 2, math.pi / 2, radius)) for k in range(4)]
+        full = _clipped(apex, 0.0, TWO_PI, radius)
+        parts = [_clipped(apex, k * math.pi / 2, math.pi / 2, radius) for k in range(4)]
         assert sum(parts) == pytest.approx(full, rel=1e-12)
 
     @pytest.mark.parametrize("angle", [1.0, math.pi, 5.0, TWO_PI])
@@ -330,7 +307,7 @@ class TestIntersectionAreas:
     def test_identical_regions(self, apex):
         for angle in (1.0, math.pi, TWO_PI):
             region = (apex, 0.4, angle)
-            one = clipped_area(Sector(Point2(*apex), 0.4, angle, 0.1))
+            one = _clipped(apex, 0.4, angle, 0.1)
             assert _area(region, region) == pytest.approx(one, rel=1e-12)
 
     @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from sectorgraphs.harness import (
     verify,
     write_trials_csv,
 )
-from sectorgraphs.model import ModelParams
+from sectorgraphs.model import ModelParams, degree_summary, sample_trial
 from sectorgraphs.theory import (
     FocusingPrediction,
     mean_degree,
@@ -76,12 +76,11 @@ class TestRunTrials:
     def test_w_counts_and_interior_options(self):
         params = _params(n=400, mode="poisson")
         ds = DegreeSet.upper_tail(2)
-        opts = TrialOptions(collect_hist=True, w_sets=((ds, "out"),), interior_degrees=True)
+        opts = TrialOptions(w_sets=((ds, "out"),), interior_degrees=True)
         rec = run_trials(params, 1, options=opts)[0]
-        assert rec.hist_out is not None and sum(rec.hist_out.values()) == rec.alive_count
-        assert rec.w_counts[f"{ds.descriptor()}|out"] == sum(
-            c for k, c in rec.hist_out.items() if k >= 2
-        )
+        summary = degree_summary(sample_trial(params, 0))
+        assert summary.out_degrees.size == rec.alive_count
+        assert rec.w_counts[f"{ds.descriptor()}|out"] == np.count_nonzero(summary.out_degrees >= 2)
         assert rec.interior_count is not None and rec.interior_count <= rec.alive_count
 
     def test_rejects_no_trials(self):

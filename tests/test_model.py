@@ -10,11 +10,9 @@ from scipy import stats
 from sectorgraphs.degree_sets import DegreeSet
 from sectorgraphs.geometry import (
     TWO_PI,
-    Point2,
-    Sector,
     build_index,
     ordered_pairs_within,
-    sector_contains,
+    points_in_sector,
 )
 from sectorgraphs.model import (
     ModelParams,
@@ -174,23 +172,24 @@ class TestDegrees:
     def test_every_arc_in_sector(self):
         params = ModelParams(n=250, alpha=1.2, r=0.09, v=0.1, q=0.1, master_seed=8)
         g = sample_trial(params, 0)
-        for i, j in g.arc_set():
-            s = Sector(
-                Point2(*g.positions[i]), float(g.orientations[i] % TWO_PI),
-                params.alpha, params.r,
+        i, j = g.arcs.T
+        assert i.size > 0
+        assert np.all(
+            points_in_sector(
+                g.positions[i], g.orientations[i] % TWO_PI, params.alpha, params.r, g.positions[j]
             )
-            assert sector_contains(s, Point2(*g.positions[j]))
+        )
 
     def test_degree_count_cases(self):
         params = ModelParams(n=300, alpha=math.pi, r=0.08, v=0.2, q=0.1, master_seed=9)
         g = sample_trial(params, 0)
         s = degree_summary(g)
-        assert degree_count(g, DegreeSet.all(), "out") == s.alive_count
-        assert degree_count(g, DegreeSet.empty(), "out") == 0
+        assert degree_count(g, DegreeSet.upper_tail(0), "out") == s.alive_count
+        assert degree_count(g, DegreeSet.finite(()), "out") == 0
         assert degree_count(g, DegreeSet.upper_tail(s.max_out), "out") >= 1
         assert degree_count(g, DegreeSet.upper_tail(s.max_in), "in") >= 1
         with pytest.raises(ValueError):
-            degree_count(g, DegreeSet.all(), "total")
+            degree_count(g, DegreeSet.upper_tail(0), "total")
 
 
 class TestStatistics:
