@@ -2,7 +2,8 @@
 
 Samples a small faulty sector graph, prints its degree statistics, shows
 that the same (seed, trial) pair always rebuilds the identical graph, and
-dumps the edge-list / vertex-CSV interchange files.
+dumps the edge-list / vertex-CSV interchange files into a temporary
+directory that is removed again.
 """
 
 import math
@@ -41,10 +42,11 @@ g_again = sample_trial(params, trial_index=0)
 assert np.array_equal(g.arcs, g_again.arcs)
 print("\nresampling trial 0 reproduces the identical arc set (seeded streams)")
 
-outdir = Path(tempfile.mkdtemp())
-write_edge_list(g, outdir / "edges.txt")
-write_vertex_csv(g, outdir / "vertices.csv")
-print(f"\nwrote {outdir / 'edges.txt'} and {outdir / 'vertices.csv'}")
-print("edge list starts with a 'N alive' header, then one 'i j' arc per line:")
-for line in (outdir / "edges.txt").read_text().splitlines()[:4]:
-    print("  " + line)
+with tempfile.TemporaryDirectory() as tmp:
+    outdir = Path(tmp)
+    write_edge_list(g, outdir / "edges.txt")
+    write_vertex_csv(g, outdir / "vertices.csv")
+    print(f"\nwrote {outdir / 'edges.txt'} and {outdir / 'vertices.csv'} (removed on exit)")
+    print("edge list starts with a 'N alive' header, then one 'i j' arc per line:")
+    for line in (outdir / "edges.txt").read_text().splitlines()[:4]:
+        print("  " + line)

@@ -163,12 +163,19 @@ def joint_count_prob(
     probs = np.zeros_like(mc)
     cum = np.zeros_like(mc)
     pmf = np.exp(-mc)
+    # ``g`` and ``h``: ``P(N + c in A)`` and ``P(N + c + 1 in A)`` for each
+    # side's own count ``N``; each shift is evaluated once and passed on.
+    g1 = degree_set.poisson_prob(mean_only1, shift=0)
+    g2 = degree_set.poisson_prob(mean_only2, shift=0)
     for c in range(n_terms):
-        f1 = (1.0 - p1) * degree_set.poisson_prob(mean_only1, shift=c) + p1 * degree_set.poisson_prob(mean_only1, shift=c + 1)
-        f2 = (1.0 - p2) * degree_set.poisson_prob(mean_only2, shift=c) + p2 * degree_set.poisson_prob(mean_only2, shift=c + 1)
+        h1 = degree_set.poisson_prob(mean_only1, shift=c + 1)
+        h2 = degree_set.poisson_prob(mean_only2, shift=c + 1)
+        f1 = (1.0 - p1) * g1 + p1 * h1
+        f2 = (1.0 - p2) * g2 + p2 * h2
         probs += pmf * f1 * f2
         cum += pmf
         pmf = pmf * mc / (c + 1.0)
+        g1, g2 = h1, h2
     residual = float(np.max(1.0 - cum)) if mc.size else 0.0
     return probs, max(residual, 0.0)
 

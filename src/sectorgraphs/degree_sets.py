@@ -73,9 +73,12 @@ class DegreeSet:
         return int(np.count_nonzero(np.isin(degrees, sorted(self.members))))
 
     def poisson_prob(self, mean, shift: int = 0) -> np.ndarray:
-        """``P(Poi(mean) + shift in A)``, vectorized over ``mean``."""
+        """``P(Poi(mean) + shift in A)``, vectorized over ``mean``; a tail
+        the shift alone reaches is exactly 1, without ``gammainc``."""
         mean = np.asarray(mean, dtype=float)
         if self.kind == "tail":
+            if self.threshold <= shift:
+                return np.ones_like(mean)
             return poisson_upper_tail_vec(mean, self.threshold - shift)
         total = np.zeros_like(mean, dtype=float)
         for m in self.members:

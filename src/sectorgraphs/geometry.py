@@ -68,7 +68,8 @@ class _Shape:
     """One shape of ``intersection_areas``: its anticlockwise boundary as
     segments ``(start, end)`` and arcs ``(centre, start angle, end
     angle)``, the lines ``(point, direction)`` and circle centres that
-    carry its boundary, and its membership test."""
+    carry its boundary, and its membership test ``contains(points,
+    rows)`` of one point per given row."""
 
     segments: list
     arcs: list
@@ -115,17 +116,35 @@ def _arc_cuts(centre, start, lines, circles, radius):
             phi = np.arctan2(delta[..., 1], delta[..., 0])
             h = np.arccos(np.hypot(delta[..., 0], delta[..., 1]) / (2.0 * radius))
             cuts += [phi - h, phi + h]
-    return [start + np.mod(t - start, TWO_PI) for t in cuts]
+    wrapped = []
+    for t in cuts:
+        d = t - start
+        # NaN marks a miss; ``np.mod`` takes a slow path on NaN, so skip it.
+        np.mod(d, TWO_PI, out=d, where=~np.isnan(d))
+        wrapped.append(start + d)
+    return wrapped
 
 
 def _pieces(lo, hi, cuts):
-    """Sorted ``(m, k)`` piece ends of ``[lo, hi]`` split at the cuts; a
-    cut outside it, or NaN, makes an empty piece at one end, which adds
-    exactly 0."""
+    """The non-empty pieces of ``[lo, hi]`` split at the cuts: their ends
+    ``a < b``, their flat indices ``live`` in the ``(m, count)`` array of
+    all pieces, sorted per row, and ``count``. A cut outside the interval,
+    or NaN, makes an empty piece at one end."""
     t = np.stack([np.broadcast_to(lo, hi.shape)] + cuts + [hi], axis=1)
     t = np.where(np.isnan(t), hi[:, None], np.clip(t, lo[:, None], hi[:, None]))
     t.sort(axis=1)
-    return t[:, :-1], t[:, 1:]
+    count = t.shape[1] - 1
+    live = np.flatnonzero(t[:, :-1] < t[:, 1:])
+    start = live + live // count  # the piece's start in ``t``, one column wider
+    return t.flat[start], t.flat[start + 1], live, count
+
+
+def _row_sums(values, live, shape):
+    """Row sums of the ``shape`` array that holds ``values`` at the flat
+    indices ``live`` and ``+0`` elsewhere."""
+    pieces = np.zeros(shape)
+    pieces.flat[live] = values
+    return np.sum(pieces, axis=1)
 
 
 def intersection_areas(regions, radius: float) -> np.ndarray:
@@ -145,6 +164,13 @@ def intersection_areas(regions, radius: float) -> np.ndarray:
     a boundary shared by several shapes counts exactly once. The origin
     is the first apex, so the first region's radial edges add exactly 0
     and are left out.
+
+    Only the non-empty pieces are evaluated; most are empty, since a cut
+    that misses a curve leaves a piece of length 0 at one end. Their
+    values are scattered into a zero ``(m, k)`` array that is summed per
+    row, as all pieces were before: an empty piece's integral is exactly
+    ``+0``, so each row adds the same values in the same order and keeps
+    its bits (``test_intersection_areas_are_pinned``).
     """
     origin = np.asarray(regions[0][0], dtype=float)
     m = origin.shape[0]
@@ -156,7 +182,7 @@ def intersection_areas(regions, radius: float) -> np.ndarray:
             arcs=[],
             lines=[(a, b - a) for a, b in edges],
             circles=[],
-            contains=in_unit_square,
+            contains=lambda p, rows: in_unit_square(p),
         )
     ]
     for i, (apex_xy, elevation, angle) in enumerate(regions):
@@ -171,8 +197,8 @@ def intersection_areas(regions, radius: float) -> np.ndarray:
                 arcs=[(apex, ends[0], ends[1])],
                 lines=[(apex, _unit(t)) for t in ends] if sides else [],
                 circles=[apex],
-                contains=lambda p, a=apex[:, None], e=elev[:, None], w=angle: points_in_sector(
-                    a, e, w, radius, p
+                contains=lambda p, rows, a=apex, e=elev, w=angle: points_in_sector(
+                    a[rows], e[rows], w, radius, p
                 ),
             )
         )
@@ -183,34 +209,38 @@ def intersection_areas(regions, radius: float) -> np.ndarray:
         lines = [line for j, s in enumerate(shapes) if j != k for line in s.lines]
         circles = [c for j, s in enumerate(shapes) if j != k for c in s.circles]
 
-        def bounding(mid, normal):
+        def bounding(mid, normal, rows):
             left, right = mid + offset * normal, mid - offset * normal
-            keep = np.ones(mid.shape[:-1], dtype=bool)
+            keep = np.ones(len(rows), dtype=bool)
             for j, s in enumerate(shapes):
                 if j != k:
-                    keep &= s.contains(left)
+                    keep &= s.contains(left, rows)
                     if j < k:
-                        keep &= s.contains(right)
+                        keep &= s.contains(right, rows)
             return keep
 
         for p, q in shape.segments:
             v = q - p
-            ta, tb = _pieces(np.zeros(m), np.ones(m), _segment_cuts(p, v, lines, circles, radius))
-            xa = (p - origin)[:, None] + ta[..., None] * v[:, None]
-            xb = (p - origin)[:, None] + tb[..., None] * v[:, None]
-            mid = p[:, None] + 0.5 * (ta + tb)[..., None] * v[:, None]
+            a, b, live, count = _pieces(np.zeros(m), np.ones(m), _segment_cuts(p, v, lines, circles, radius))
+            rows = live // count
+            pr, vr = p[rows], v[rows]
+            rel = pr - origin[rows]
+            xa = rel + a[:, None] * vr
+            xb = rel + b[:, None] * vr
+            mid = pr + 0.5 * (a + b)[:, None] * vr
             normal = np.stack((-v[:, 1], v[:, 0]), axis=-1) / np.hypot(v[:, 0], v[:, 1])[:, None]
-            total += np.sum(0.5 * _cross(xa, xb) * bounding(mid, normal[:, None]), axis=1)
+            keep = bounding(mid, normal[rows], rows)
+            total += _row_sums(0.5 * _cross(xa, xb) * keep, live, (m, count))
         for c, t0, t1 in shape.arcs:
-            ta, tb = _pieces(t0, t1, _arc_cuts(c, t0, lines, circles, radius))
-            cx, cy = (c - origin).T
+            a, b, live, count = _pieces(t0, t1, _arc_cuts(c, t0, lines, circles, radius))
+            rows = live // count
+            cx, cy = (c - origin)[rows].T
             green = radius * (
-                radius * (tb - ta)
-                + cx[:, None] * (np.sin(tb) - np.sin(ta))
-                - cy[:, None] * (np.cos(tb) - np.cos(ta))
+                radius * (b - a) + cx * (np.sin(b) - np.sin(a)) - cy * (np.cos(b) - np.cos(a))
             )
-            u = _unit(0.5 * (ta + tb))
-            total += np.sum(0.5 * green * bounding(c[:, None] + radius * u, -u), axis=1)
+            u = _unit(0.5 * (a + b))
+            keep = bounding(c[rows] + radius * u, -u, rows)
+            total += _row_sums(0.5 * green * keep, live, (m, count))
     return total
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -152,6 +151,11 @@ def run_trials(
     options = options or TrialOptions()
     if parallelism <= 1:
         return [run_one_trial(params, t, options) for t in range(trials)]
+    # Imported on use: it loads ``multiprocessing``, ``subprocess`` and
+    # ``socket``, which took about 40 ms of the package's import and first
+    # ``predict`` in a fresh interpreter (2-vCPU VM).
+    from concurrent.futures import ProcessPoolExecutor
+
     jobs = ((params, t, options) for t in range(trials))
     chunk = max(1, trials // (parallelism * 8))
     with ProcessPoolExecutor(max_workers=parallelism) as pool:

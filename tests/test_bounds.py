@@ -276,6 +276,37 @@ class TestJointCountProb:
         with pytest.raises(TruncationBudgetExceeded):
             _joint(10.0, 0.0, 0.0, 100.0, ds, max_terms=50)
 
+    def test_finite_set_is_pinned(self):
+        # ``float.hex`` of a ``set:1,3`` batch with zero means, an absent,
+        # a likely and a certain arc on each side.
+        ds = DegreeSet.parse("set:1,3")
+        mc = np.array([0.0, 0.0, 0.7, 1.9, 3.25, 0.05])
+        m1 = np.array([0.0, 1.2, 0.0, 0.4, 2.5, 0.9])
+        m2 = np.array([0.6, 0.0, 0.3, 1.1, 0.0, 0.2])
+        p1 = np.array([0.0, 0.8, 1.0, 0.8, 0.0, 1.0])
+        p2 = np.array([0.8, 1.0, 0.8, 1.0, 1.0, 0.0])
+        probs, residual = joint_count_prob(mc, m1, m2, p1, p2, ds)
+        assert [float(x).hex() for x in probs] == _PINNED_SET_PROBS
+        assert residual.hex() == _PINNED_SET_RESIDUAL
+
+
+_PINNED_SET_PROBS = [
+    "0x0.0p+0", "0x1.021698372d950p-1", "0x1.a13e0d1b6af42p-2",
+    "0x1.20ebe7a49f553p-3", "0x1.dd550e0787b57p-5", "0x1.aab99374e086bp-4",
+]
+_PINNED_SET_RESIDUAL = "0x1.15b8630000000p-29"
+
+
+class TestPoissonProb:
+    @pytest.mark.parametrize("mean", [np.float64(0.0), np.array(2.5), np.empty(0), np.zeros(3), np.array([0.0, 1.0, 40.0])])
+    @pytest.mark.parametrize("shift", [4, 5, 9])
+    def test_tail_below_shift_is_exactly_one(self, mean, shift):
+        # ``P(Poi(mean) + shift >= 4)`` is 1 for every ``shift >= 4``.
+        got = DegreeSet.upper_tail(4).poisson_prob(mean, shift=shift)
+        assert got.shape == np.shape(mean)
+        assert got.dtype == np.float64
+        assert np.all(got == 1.0)
+
 
 @pytest.fixture(scope="module")
 def small_config():

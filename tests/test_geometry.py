@@ -341,6 +341,118 @@ class TestIntersectionAreas:
         assert _area(disk, sector) == pytest.approx(want, rel=1e-12)
 
 
+def _pin_cases():
+    """Batches of ``intersection_areas`` rows whose bits are pinned below,
+    by name: ``(regions, radius)``."""
+    r = 0.1
+    # Corners, edge midpoints and other edge points, the centre, a point
+    # near a corner, and an apex exactly ``r`` from the left edge.
+    apexes = np.array(
+        [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.0), (1.0, 0.3),
+         (0.4, 1.0), (0.0, 0.7), (0.5, 0.5), (0.03, 0.97), (r, 0.5)]
+    )
+    elevs = np.array([0.0, 0.4, 0.5 * math.pi, math.pi, 4.0, 1.5 * math.pi, 0.4, 6.0, 2.0, 5.5, 3.0])
+    cases = {
+        f"one_{name}": ([(apexes, elevs, angle)], r)
+        for name, angle in (("alpha1", 1.0), ("pi", math.pi), ("disk", TWO_PI))
+    }
+    same = apexes[[0, 4, 8, 9, 10]]
+    for name, angle in (("alpha1", 1.0), ("pi", math.pi), ("disk", TWO_PI)):
+        cases[f"identical_{name}"] = ([(same, elevs[:5], angle)] * 2, r)
+    a = np.array([(0.3, 0.5), (0.05, 0.0), (0.5, 0.5), (0.0, 0.0)])
+    b = np.array([(0.5, 0.5), (0.05, 0.2), (0.5, 0.7), (0.2, 0.0)])
+    e = np.array([0.0, 0.5 * math.pi, 4.0, math.pi])
+    for name, angle in (("pi", math.pi), ("disk", TWO_PI)):
+        cases[f"apart_2r_{name}"] = ([(a, e, angle), (b, e[::-1], angle)], r)
+    # Disks and sectors tangent to the left edge, each with a second region.
+    tangent = np.array([(r, 0.5), (r, 0.5), (r, 0.05), (r, 0.95)])
+    other = np.array([(0.15, 0.55), (0.1, 0.4), (0.0, 0.0), (0.2, 1.0)])
+    turns = np.array([math.pi, 4.0, 0.0, 1.5 * math.pi])
+    cases["tangent"] = ([(tangent, e, TWO_PI), (other, turns, math.pi)], r)
+    rng = np.random.default_rng(20261018)
+    inner = r + (1.0 - 2.0 * r) * rng.random((6, 2))
+    near = inner + 2.0 * r * (rng.random((6, 2)) - 0.5)
+    cases["random_interior"] = (
+        [(inner, TWO_PI * rng.random(6), math.pi), (near, TWO_PI * rng.random(6), math.pi)], r
+    )
+    border = rng.random((8, 2))
+    border[:, 0] = rng.choice([0.0, 0.02, 0.97, 1.0], 8)
+    shifted = np.clip(border + 4.0 * r * (rng.random((8, 2)) - 0.5), 0.0, 1.0)
+    cases["random_clipped_one"] = ([(border, TWO_PI * rng.random(8), 1.0)], r)
+    cases["random_clipped_two"] = (
+        [(border, TWO_PI * rng.random(8), math.pi), (shifted, TWO_PI * rng.random(8), TWO_PI)], r
+    )
+    return cases
+
+
+# ``float.hex`` of ``intersection_areas`` on ``_pin_cases()``: the bits do
+# not depend on which boundary pieces the routine evaluates.
+_PINNED_AREAS = {
+    "apart_2r_disk": [
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0",
+    ],
+    "apart_2r_pi": [
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0",
+    ],
+    "identical_alpha1": [
+        "0x1.47ae147ae147cp-8", "0x1.47ae147ae147bp-8", "0x1.47ae147ae147cp-8",
+        "0x1.6f7046e0ce717p-11", "0x1.47ae147ae147cp-8",
+    ],
+    "identical_disk": [
+        "0x1.015bf9217271ap-7", "0x1.015bf9217271bp-6", "0x1.015bf9217271ap-5",
+        "0x1.e077dbd81c063p-7", "0x1.015bf9217271ap-5",
+    ],
+    "identical_pi": [
+        "0x1.015bf9217271ap-7", "0x1.c12ebaf71e3b6p-7", "0x1.015bf9217271ap-6",
+        "0x1.622b0ad887561p-7", "0x1.015bf9217271ap-6",
+    ],
+    "one_alpha1": [
+        "0x1.47ae147ae147cp-8", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x1.47ae147ae147cp-8", "0x1.47ae147ae147cp-8",
+        "0x1.47ae147ae147cp-8", "0x1.47ae147ae147cp-8",
+    ],
+    "one_disk": [
+        "0x1.015bf9217271ap-7", "0x1.015bf9217271ap-7", "0x1.015bf9217271ap-7",
+        "0x1.015bf9217271ap-7", "0x1.015bf9217271ap-6", "0x1.015bf9217271ap-6",
+        "0x1.015bf9217271ap-6", "0x1.015bf9217271ap-6", "0x1.015bf9217271ap-5",
+        "0x1.e077dbd81c063p-7", "0x1.015bf9217271ap-5",
+    ],
+    "one_pi": [
+        "0x1.015bf9217271ap-7", "0x1.015bf9217271ap-7", "0x1.015bf9217271ap-7",
+        "0x1.015bf9217271ap-7", "0x1.19486d65bb586p-8", "0x0.0p+0",
+        "0x1.0624dd2f1a9fbp-9", "0x1.2fc1a03698610p-7", "0x1.015bf9217271ap-6",
+        "0x1.dfdf91fa12345p-8", "0x1.015bf9217271ap-6",
+    ],
+    "random_clipped_one": [
+        "0x1.47ae147ae147cp-8", "0x1.47ae147ae147cp-8", "0x1.9445a267bb20cp-9",
+        "0x0.0p+0", "0x1.08143850b45fap-8", "0x1.894f86da8d944p-9",
+        "0x0.0p+0", "0x1.47ae147ae147cp-8",
+    ],
+    "random_clipped_two": [
+        "0x1.24859741fc565p-8", "0x1.a505d121e0764p-8", "0x1.7dcf7bc759208p-15",
+        "0x1.b1879427da1fbp-8", "0x0.0p+0", "0x1.278f51fcf28c8p-7",
+        "0x0.0p+0", "0x1.e51a4fa3c37b0p-12",
+    ],
+    "random_interior": [
+        "0x1.31557cfb08c6ap-7", "0x1.6c1165c0314d5p-10", "0x1.d5b702eeb6e36p-9",
+        "0x1.470a84a795985p-9", "0x1.5b2fee9f801e7p-9", "0x1.b2f4ea7bfce70p-13",
+    ],
+    "tangent": [
+        "0x1.93b4febc96f51p-7", "0x1.52273319f4abfp-9", "0x1.e6885ab96e37cp-8",
+        "0x0.0p+0",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_pin_cases()))
+def test_intersection_areas_are_pinned(name):
+    regions, radius = _pin_cases()[name]
+    assert [float(x).hex() for x in intersection_areas(regions, radius)] == _PINNED_AREAS[name]
+
+
 class TestGridIndex:
     def test_empty(self):
         pts = np.empty((0, 2))

@@ -2,6 +2,9 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import sectorgraphs as sg
@@ -58,3 +61,19 @@ def test_all_resolves():
     for name in sg.__all__:
         assert getattr(sg, name) is not None
     assert isinstance(sg.__version__, str)
+
+
+def test_setup_probe_loads_no_scipy_and_no_process_pool():
+    # ``bench/run.py`` times its set-up code in a fresh interpreter; scipy
+    # and the process pool are imported on use, so that code loads neither.
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    bench_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_run)
+    code = bench_run.SETUP_CODE + "; import sys; print(*sorted(sys.modules))"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    modules = done.stdout.split()
+    assert "sectorgraphs.theory" in modules
+    assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
+    assert "concurrent.futures.process" not in modules
