@@ -15,9 +15,11 @@ probability is evaluated exactly from the three-piece area decomposition
 of the two regions (out side: the two sectors; in side: the two disks,
 counted by the orientation-thinned process of intensity ``lam * alpha/2pi``).
 
-The region areas are exact (``geometry.intersection_areas``). The outer
-integrals over locations and orientations are plain Monte Carlo with
-reported standard errors, deterministic given their seeds.
+The region areas are exact (``geometry.intersection_areas``), and every
+Poisson probability, the truncation test included, comes from
+``poisson``. The outer integrals over locations and orientations are
+plain Monte Carlo with reported standard errors, deterministic given
+their seeds.
 
 Every step takes a batch of rows, one row per location pair:
 ``decompose_regions`` gives the three piece areas of many region pairs
@@ -34,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree_sets import DegreeSet, _poisson_pmf, poisson_upper_tail_vec
+from . import poisson
+from .degree_sets import DegreeSet
 from .geometry import (
     TWO_PI,
     clipped_sector_areas,
@@ -44,7 +47,6 @@ from .geometry import (
 )
 from .model import ModelParams
 from .randomness import derive_key, substream
-from .theory import poisson_upper_tail_log
 
 _DOM_EW = 0xB01
 _DOM_TV = 0xB02
@@ -123,18 +125,20 @@ def expected_count(
 
 def _terms_needed(m_max: float, cap: float, max_terms: int) -> int:
     """Terms of the shared-count summation so the residual ``P(Nc >= n)``
-    falls below ``cap``; raises when ``max_terms`` cannot reach it."""
+    falls below ``cap``: the first of the counts growing 1.4-fold from
+    about ``m_max`` to ``max_terms`` that reaches it; raises when
+    ``max_terms`` cannot."""
     if m_max <= 0.0:
         return 1
-    log_cap = math.log(cap)
-    if poisson_upper_tail_log(m_max, max_terms) > log_cap:
+    counts = [min(max(2, int(m_max) + 1), max_terms)]
+    while counts[-1] < max_terms:
+        counts.append(min(int(counts[-1] * 1.4) + 1, max_terms))
+    reached = poisson.upper_tail_log(m_max, counts) <= math.log(cap)
+    if not reached[-1]:
         raise TruncationBudgetExceeded(
             f"residual above cap {cap:g} after {max_terms} terms at mean {m_max:.4g}"
         )
-    n = min(max(2, int(m_max) + 1), max_terms)
-    while poisson_upper_tail_log(m_max, n) > log_cap:
-        n = min(int(n * 1.4) + 1, max_terms)
-    return n
+    return counts[int(np.argmax(reached))]
 
 
 def joint_count_prob(
@@ -327,9 +331,8 @@ def empirical_tv(samples, mean: float) -> float:
         raise ValueError("mean must be positive")
     counts = np.bincount(values)
     emp = counts / values.size
-    ks = np.arange(counts.size)
-    pois = _poisson_pmf(ks, mean)
-    tail = float(poisson_upper_tail_vec(mean, counts.size))
+    pois = poisson.pmf(np.arange(counts.size), mean)
+    tail = float(poisson.upper_tail(mean, counts.size))
     return 0.5 * (float(np.sum(np.abs(emp - pois))) + tail)
 
 

@@ -81,7 +81,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 def _persist(cfg: RunConfig, out: Path, payload: dict) -> None:
     (out / "config.txt").write_text(serialize_config(cfg))
     (out / "report.json").write_text(
-        json.dumps(to_jsonable(payload), indent=2, sort_keys=True) + "\n"
+        json.dumps(to_jsonable(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
 
 

@@ -186,10 +186,10 @@ def validate_config(cfg: RunConfig, need_radius: bool = True) -> None:
         raise ConfigError("trials: must be >= 1")
     if cfg.parallelism < 1:
         raise ConfigError("parallelism: must be >= 1")
-    if cfg.slack < 0:
-        raise ConfigError("slack: must be >= 0")
-    if cfg.epsilon <= 0:
-        raise ConfigError("epsilon: must be > 0")
+    if not 0 <= cfg.slack < math.inf:
+        raise ConfigError("slack: must be finite and >= 0")
+    if not 0 < cfg.epsilon < math.inf:
+        raise ConfigError("epsilon: must be finite and > 0")
     for name in ("outer_samples", "ew_samples"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name}: must be >= 1")

@@ -11,35 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def _poisson_pmf(k: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Vectorized Poisson pmf, exact at mean 0."""
-    from scipy import special  # imported on use: it costs ~0.4 s
-
-    k = np.asarray(k, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = k * np.log(mean) - mean - special.gammaln(k + 1.0)
-    out = np.exp(logp)
-    if mean.ndim == 0:
-        if mean == 0.0:
-            return np.where(k == 0, 1.0, 0.0)
-        return out
-    zero = mean == 0.0
-    if np.any(zero):
-        out = np.where(zero, np.where(k == 0, 1.0, 0.0), out)
-    return out
-
-
-def poisson_upper_tail_vec(mean, threshold) -> np.ndarray:
-    """``P(Poi(mean) >= threshold)`` for array inputs via incomplete gamma."""
-    from scipy import special
-
-    mean = np.asarray(mean, dtype=float)
-    t = np.asarray(threshold, dtype=float)
-    t_clip = np.maximum(t, 1.0)
-    tail = special.gammainc(t_clip, mean)
-    return np.where(t <= 0, 1.0, tail)
+from . import poisson
 
 
 @dataclass(frozen=True)
@@ -74,17 +46,14 @@ class DegreeSet:
 
     def poisson_prob(self, mean, shift: int = 0) -> np.ndarray:
         """``P(Poi(mean) + shift in A)``, vectorized over ``mean``; a tail
-        the shift alone reaches is exactly 1, without ``gammainc``."""
+        the shift alone reaches is exactly 1, without summing a series."""
         mean = np.asarray(mean, dtype=float)
         if self.kind == "tail":
-            if self.threshold <= shift:
-                return np.ones_like(mean)
-            return poisson_upper_tail_vec(mean, self.threshold - shift)
-        total = np.zeros_like(mean, dtype=float)
+            return poisson.upper_tail(mean, self.threshold - shift)
+        total = np.zeros_like(mean)
         for m in self.members:
-            k = m - shift
-            if k >= 0:
-                total = total + _poisson_pmf(k, mean)
+            if m >= shift:
+                total = total + poisson.pmf(m - shift, mean)
         return total
 
     def descriptor(self) -> str:

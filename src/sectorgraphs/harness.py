@@ -99,7 +99,7 @@ class ModeAgreementReport:
 @dataclass
 class SweepPoint:
     n: int
-    r: float
+    r: float | None
     report: ExperimentReport | None = None
     error: str | None = None
 
@@ -289,8 +289,8 @@ def sweep(
     sides: tuple[str, ...] = ("out", "in"),
 ) -> list[SweepPoint]:
     """One verification per grid point. A point beyond the model's limits
-    (``RadiusOutOfRange``, ``NoFocusingIndex``) records its error and does
-    not abort the rest; any other error propagates.
+    (``RadiusOutOfRange``, ``NoFocusingIndex``) records its error, with
+    ``r`` None, and does not abort the rest; any other error propagates.
 
     The radius schedule is either fixed mean degree (``mu_target``) or an
     explicit ``r_list`` aligned with ``n_grid``.
@@ -313,7 +313,7 @@ def sweep(
             report, _ = verify(p, trials, slack=slack, parallelism=parallelism, sides=sides)
             points.append(SweepPoint(n=int(n), r=r, report=report))
         except (RadiusOutOfRange, NoFocusingIndex) as exc:
-            points.append(SweepPoint(n=int(n), r=float("nan"), error=str(exc)))
+            points.append(SweepPoint(n=int(n), r=None, error=str(exc)))
     return points
 
 
@@ -328,22 +328,21 @@ def half_l1(hist_a: dict[int, int], hist_b: dict[int, int]) -> float:
 
 
 def mode_agreement(
-    params: ModelParams,
-    trials: int,
-    parallelism: int = 1,
+    records_binomial: list[TrialRecord],
+    records_poisson: list[TrialRecord],
+    seed: int,
     bootstrap: int = 200,
 ) -> ModeAgreementReport:
-    """Distance between binomial-mode and Poisson-mode empirical
-    max-degree laws, with a bootstrap error bar."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rec_b = run_trials(params.with_mode("binomial"), trials, parallelism)
-    rec_p = run_trials(params.with_mode("poisson"), trials, parallelism)
-    rng = substream(params.master_seed, _DOM_AGREE_BOOT)
+    """Distance between the max-degree laws of binomial- and Poisson-mode
+    records of equal count, with a bootstrap error bar seeded by ``seed``."""
+    trials = len(records_binomial)
+    if trials < 1 or len(records_poisson) != trials:
+        raise ValueError("need two nonempty record lists of equal length")
+    rng = substream(seed, _DOM_AGREE_BOOT)
     report = {}
     for side in ("out", "in"):
-        vals_b = np.array([r.max_out if side == "out" else r.max_in for r in rec_b])
-        vals_p = np.array([r.max_out if side == "out" else r.max_in for r in rec_p])
+        vals_b = np.array([r.max_out if side == "out" else r.max_in for r in records_binomial])
+        vals_p = np.array([r.max_out if side == "out" else r.max_in for r in records_poisson])
         dist = half_l1(int_hist(vals_b), int_hist(vals_p))
         reps = np.empty(bootstrap)
         for i in range(bootstrap):
@@ -351,13 +350,7 @@ def mode_agreement(
             rp = vals_p[rng.integers(0, trials, trials)]
             reps[i] = half_l1(int_hist(rb), int_hist(rp))
         report[side] = (dist, float(np.std(reps)))
-    return ModeAgreementReport(
-        trials=trials,
-        distance_out=report["out"][0],
-        bootstrap_se_out=report["out"][1],
-        distance_in=report["in"][0],
-        bootstrap_se_in=report["in"][1],
-    )
+    return ModeAgreementReport(trials, *report["out"], *report["in"])
 
 
 def write_trials_csv(records: list[TrialRecord], path) -> None:

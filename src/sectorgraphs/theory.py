@@ -1,5 +1,6 @@
-"""Analytic quantities of the model: mean degree, Poisson tails, and the
-two-point focusing prediction for the maximum out/in-degree.
+"""Analytic quantities of the model: mean degree and the two-point
+focusing prediction for the maximum out/in-degree. The scalar Poisson
+tails ``poisson_upper_tail(_log)`` are one-row calls of ``poisson``.
 
 For mean degree ``mu = (alpha/2) * n * r**2 * (1-v) * (1-q)`` bounded away
 from zero and growing slower than any power of ``ln n``, the maximum degree
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import poisson
 from .model import ModelParams
 
 # Convention used by every report: the lower mass sits at k-1.
@@ -22,9 +24,6 @@ TWO_POINT_CONVENTION = (
     "P(max = k-1) -> exp(-a), P(max = k) -> 1 - exp(-a), "
     "a = n*(1-v)*P(Poi(mu) >= k)"
 )
-
-# A term below this fraction of the partial sum stops tail accumulation.
-_TAIL_STOP = 1e-17
 
 
 class RadiusOutOfRange(ValueError):
@@ -85,51 +84,18 @@ def radius_for_mean_degree(
     return r
 
 
-def _upper_sum_log(mean: float, start: int) -> float:
-    """log of ``sum_{i >= start} pmf(i)`` for ``start > mean`` (terms decrease)."""
-    lead = -mean + start * math.log(mean) - math.lgamma(start + 1)
-    acc = 1.0
-    term = 1.0
-    i = start
-    while True:
-        i += 1
-        term *= mean / i
-        acc += term
-        if term < _TAIL_STOP * acc:
-            break
-    return lead + math.log(acc)
-
-
-def _lower_sum_log(mean: float, last: int) -> float:
-    """log of ``sum_{i <= last} pmf(i)`` for ``last < mean`` (terms decrease
-    moving down from ``last``)."""
-    lead = -mean + last * math.log(mean) - math.lgamma(last + 1)
-    acc = 1.0
-    term = 1.0
-    for i in range(last, 0, -1):
-        term *= i / mean
-        acc += term
-        if term < _TAIL_STOP * acc:
-            break
-    return lead + math.log(acc)
-
-
 def poisson_upper_tail_log(mean: float, j: int) -> float:
-    """``log P(Poi(mean) >= j)`` by log-space accumulation away from the mode."""
+    """``log P(Poi(mean) >= j)``; the scalar call of ``poisson.upper_tail_log``."""
     if mean <= 0.0:
         raise ValueError("mean must be positive")
-    j = int(j)
-    if j <= 0:
-        return 0.0
-    if j > mean:
-        return _upper_sum_log(mean, j)
-    lower = math.exp(_lower_sum_log(mean, j - 1))
-    return math.log1p(-lower)
+    return float(poisson.upper_tail_log(mean, int(j)))
 
 
 def poisson_upper_tail(mean: float, j: int) -> float:
     """``P(Poi(mean) >= j)``; underflows to 0 below the float range."""
-    return math.exp(poisson_upper_tail_log(mean, j))
+    if mean <= 0.0:
+        raise ValueError("mean must be positive")
+    return float(poisson.upper_tail(mean, int(j)))
 
 
 def focusing_index(n: int, v: float, mu: float) -> tuple[int, int]:

@@ -139,8 +139,9 @@ def test_c4_two_point_focusing(poisson_records, binomial_records):
     print(f"\n[criterion 4] PASS - k={pred.k}; " + "; ".join(lines))
 
 
-def test_c5_mode_agreement():
-    report = mode_agreement(_central_params("binomial"), trials=2000, parallelism=2)
+def test_c5_mode_agreement(binomial_records, poisson_records):
+    # c4's records: the same parameters, seed and trial count in each mode.
+    report = mode_agreement(binomial_records, poisson_records, seed=MASTER_SEED)
     assert report.distance_out <= 0.1 + report.bootstrap_se_out
     assert report.distance_in <= 0.1 + report.bootstrap_se_in
     print(

@@ -141,6 +141,14 @@ class TestConfig:
             with pytest.raises(ConfigError, match="^mu_target: "):
                 validate_config(RunConfig(mu_target=mu))
 
+    @pytest.mark.parametrize("field, value", [
+        ("slack", -0.1), ("slack", math.nan), ("slack", math.inf),
+        ("epsilon", 0.0), ("epsilon", math.nan), ("epsilon", math.inf),
+    ])
+    def test_slack_and_epsilon_must_be_finite(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: must be finite"):
+            validate_config(RunConfig(r=0.1, **{field: value}))
+
 
 class TestPredict:
     def test_worked_prediction(self, capsys):
@@ -180,6 +188,7 @@ class TestPredict:
             (["--mu-target", "1", "--out", "runs#1"], "out: must not contain '#'"),
             (["--mu-target", "200"], "mu_target 200.0 needs r ="),  # RadiusOutOfRange
             (["--r", "0.1", "--v", "0.999"], "n*(1-v) = 0.1 must exceed 1"),  # NoFocusingIndex
+            (["--mu-target", "1", "--epsilon", "nan"], "epsilon: must be finite and > 0"),
         ],
     )
     def test_user_input_errors_exit_1(self, args, message, capsys):
@@ -297,6 +306,15 @@ class TestVerify:
         )
         assert rc == 2
         assert "FAIL" in capsys.readouterr().out
+
+    def test_nan_slack_exits_1_without_report(self, tmp_path, capsys):
+        rc = run_cli(
+            "verify", "--n", "300", "--alpha", "pi", "--mu-target", "1",
+            "--trials", "10", "--slack", "nan", "--out", str(tmp_path / "v"),
+        )
+        assert rc == 1
+        assert "config error: slack: must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
 
     def test_report_contains_both_modes(self, tmp_path, capsys):
         rc = run_cli(
@@ -424,6 +442,22 @@ class TestSweep:
         rows = (tmp_path / "summary.csv").read_text().splitlines()
         verdicts = [row.split(",")[-1] for row in rows]
         assert verdicts[1].startswith("ERROR:") and verdicts[2] == "PASS"
+
+    def test_error_point_report_is_strict_json(self, tmp_path, capsys):
+        # At n = 2, mu = 1 needs r >= 0.5, so that point has no radius.
+        rc = run_cli(
+            "sweep", "--n-grid", "2,200", "--mu-target", "1", "--v", "0.6",
+            "--trials", "20", "--out", str(tmp_path),
+        )
+        assert rc == 0
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        payload = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        error_point = payload["points"][0]
+        assert error_point["n"] == 2 and error_point["error"]
+        assert error_point["r"] is None and error_point["report"] is None
 
     @pytest.mark.parametrize(
         "grid,field",

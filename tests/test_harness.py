@@ -204,10 +204,22 @@ class TestModeAgreement:
         assert half_l1(ha, hb) == 0.0
 
     def test_tiny_smoke(self):
-        report = mode_agreement(_params(n=10, mu=0.5, seed=9), trials=500)
+        params = _params(n=10, mu=0.5, seed=9)
+        report = mode_agreement(
+            run_trials(params.with_mode("binomial"), 500),
+            run_trials(params.with_mode("poisson"), 500),
+            seed=params.master_seed,
+        )
         assert 0.0 <= report.distance_out <= 1.0
         assert 0.0 <= report.distance_in <= 1.0
         assert report.bootstrap_se_out >= 0.0
+
+    def test_record_lists_must_match(self):
+        records = _fake_records([3, 4, 4])
+        with pytest.raises(ValueError):
+            mode_agreement(records, records[:2], seed=1)
+        with pytest.raises(ValueError):
+            mode_agreement([], [], seed=1)
 
     def test_half_l1_simple(self):
         assert half_l1({0: 2, 1: 2}, {0: 2, 1: 2}) == 0.0
