@@ -167,19 +167,20 @@ def joint_count_prob(
     probs = np.zeros_like(mc)
     cum = np.zeros_like(mc)
     pmf = np.exp(-mc)
-    # ``g`` and ``h``: ``P(N + c in A)`` and ``P(N + c + 1 in A)`` for each
-    # side's own count ``N``; each shift is evaluated once and passed on.
-    g1 = degree_set.poisson_prob(mean_only1, shift=0)
-    g2 = degree_set.poisson_prob(mean_only2, shift=0)
+    # Side 1's rows, then side 2's. ``g`` and ``h``: ``P(N + c in A)`` and
+    # ``P(N + c + 1 in A)`` for each side's own count ``N``; each shift is
+    # evaluated once for both sides and passed on. Rows are independent in
+    # ``poisson``, so joining the sides leaves every row's bits alone.
+    mean_only = np.concatenate((mean_only1, mean_only2))
+    p = np.concatenate((p1, p2))
+    g = degree_set.poisson_prob(mean_only, shift=0)
     for c in range(n_terms):
-        h1 = degree_set.poisson_prob(mean_only1, shift=c + 1)
-        h2 = degree_set.poisson_prob(mean_only2, shift=c + 1)
-        f1 = (1.0 - p1) * g1 + p1 * h1
-        f2 = (1.0 - p2) * g2 + p2 * h2
+        h = degree_set.poisson_prob(mean_only, shift=c + 1)
+        f1, f2 = np.split((1.0 - p) * g + p * h, 2)
         probs += pmf * f1 * f2
         cum += pmf
         pmf = pmf * mc / (c + 1.0)
-        g1, g2 = h1, h2
+        g = h
     residual = float(np.max(1.0 - cum)) if mc.size else 0.0
     return probs, max(residual, 0.0)
 

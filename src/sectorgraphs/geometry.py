@@ -269,16 +269,18 @@ def clipped_sector_areas(
 
 @dataclass
 class GridIndex:
-    """Points sorted by grid cell, for pair enumeration by key ranges.
+    """Points sorted by grid cell, for sector arcs by key ranges.
 
-    Cell ``(cx, cy)`` has the int64 key ``(cx + 1) * stride + cy + 1``, so
-    the cell above is ``key + 1`` and the next column starts at
-    ``key + stride``. ``_keys`` holds every point's key in ascending order
-    and ``_order`` the point index at each key position; points of one
-    cell keep their input order.
+    ``points`` is the ``(N, 2)`` array the index was built from (not a
+    copy) and ``radius`` the side of its square cells. Cell ``(cx, cy)``
+    has the int64 key ``(cx + 1) * stride + cy + 1``, so the cell above is
+    ``key + 1`` and the next column starts at ``key + stride``. ``_keys``
+    holds every point's key in ascending order and ``_order`` the point
+    index at each key position; points of one cell keep their input order.
     """
 
-    cell_size: float
+    points: np.ndarray = field(repr=False)
+    radius: float
     count: int
     _keys: np.ndarray = field(repr=False)
     _order: np.ndarray = field(repr=False)
@@ -290,29 +292,26 @@ def _cell_keys(points: np.ndarray, cell_size: float, stride: int) -> np.ndarray:
     return (cells[:, 0] + 1) * stride + (cells[:, 1] + 1)
 
 
-def build_index(points: np.ndarray, cell_size: float) -> GridIndex:
-    """Index an ``(N, 2)`` array of points on a grid of the given cell size
-    (must be positive).
+def build_index(points: np.ndarray, radius: float) -> GridIndex:
+    """Index an ``(N, 2)`` array of points on a grid of cells of side
+    ``radius`` (must be positive).
 
     Keys are below ``stride**2``, so when ``stride**2 * N < 2**63`` one
     sort of the distinct int64 values ``key * N + i`` gives the keys and
     their stable order; otherwise a stable ``argsort`` gives the same.
     """
-    if not cell_size > 0.0:
-        raise ValueError("cell_size must be positive")
+    if not radius > 0.0:
+        raise ValueError("radius must be positive")
     xy = np.asarray(points, dtype=float)
     n = xy.shape[0]
-    stride = int(math.floor(1.0 / cell_size)) + 4
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return GridIndex(cell_size, 0, empty, empty, stride)
-    keys = _cell_keys(xy, cell_size, stride)
+    stride = int(math.floor(1.0 / radius)) + 4
+    keys = _cell_keys(xy, radius, stride)
     if stride * stride * n < 2**63:
         keys, order = np.divmod(np.sort(keys * n + np.arange(n, dtype=np.int64)), n)
     else:
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-    return GridIndex(cell_size, n, keys, order, stride)
+    return GridIndex(xy, radius, n, keys, order, stride)
 
 
 def _next_column_bounds(ukey, bound, stride):
@@ -334,21 +333,15 @@ def _next_column_bounds(ukey, bound, stride):
 
 
 def ordered_pairs_within(
-    idx: GridIndex,
-    points: np.ndarray,
-    radius: float,
-    orientations: np.ndarray | None = None,
-    alpha: float = TWO_PI,
+    idx: GridIndex, orientations: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered pairs ``(i, j)``, ``i != j``, with ``|p_i - p_j| <= radius``.
+    """Sector arcs ``(i, j)`` among the indexed points.
 
-    ``points`` is the ``(N, 2)`` array ``idx`` was built from; requires
-    ``radius <= cell_size``. Without ``orientations`` every such pair is
-    returned, coincident points included. With ``orientations`` (one per
-    point), ``(i, j)`` is kept only when ``p_j`` lies in the sector of
-    angle ``alpha`` at apex ``p_i`` with elevation ``orientations[i]``,
-    as ``points_in_sector`` decides it: a point at squared distance 0 from
-    the apex is excluded.
+    ``(i, j)`` is kept when ``p_j`` lies in the sector of radius
+    ``idx.radius`` and angle ``alpha`` at apex ``p_i`` with elevation
+    ``orientations[i]`` (one per point), as ``points_in_sector`` decides
+    it: ``0 < d2 <= radius**2``, so a point coincident with the apex is
+    excluded.
 
     Order: blocks by the column offset of ``j``'s cell from ``i``'s
     (``-1, 0, 1``); within a block, by ``i`` and then by the position of
@@ -370,18 +363,14 @@ def ordered_pairs_within(
     from one ``(dx, dy)``; the reverse uses ``(-dx, -dy)``, which IEEE
     subtraction makes exact.
     """
-    if radius > idx.cell_size:
-        raise ValueError("radius must not exceed the index cell size")
     keys, order, n = idx._keys, idx._order, idx.count
-    if orientations is not None:
-        theta = np.asarray(orientations, dtype=float)
-        if len(theta) != n:
-            raise ValueError(f"{len(theta)} orientations for {n} indexed points")
-        st = theta[order]
-    xy = np.asarray(points, dtype=float)
+    theta = np.asarray(orientations, dtype=float)
+    if len(theta) != n:
+        raise ValueError(f"{len(theta)} orientations for {n} indexed points")
+    st = theta[order]
     # Coordinates in key order: partner reads stay within neighbouring
-    # cells instead of gathering from all of ``xy``.
-    sx, sy = np.take(xy, order, axis=0).T
+    # cells instead of gathering from all of the points.
+    sx, sy = np.take(idx.points, order, axis=0).T
     # Distinct cells: the cell number of each key position, the key of
     # each cell, and ``bound[c] .. bound[c + 1]``, the positions of cell c.
     new = np.ones(n, dtype=bool)
@@ -394,6 +383,7 @@ def ordered_pairs_within(
     above[:-1] = ukey[1:] == ukey[:-1] + 1
     stop_same = bound[np.arange(head.size) + 1 + above]
     start_next, stop_next = _next_column_bounds(ukey, bound, idx._stride)
+    r2 = idx.radius * idx.radius
     out = [np.empty(0, dtype=np.int64)]
     for lo in range(0, n, _PAIR_CHUNK):
         apex = np.arange(lo, min(lo + _PAIR_CHUNK, n), dtype=np.int64)
@@ -408,19 +398,13 @@ def ordered_pairs_within(
         dx = sx[b] - sx[a]
         dy = sy[b] - sy[a]
         d2 = dx * dx + dy * dy
-        near = d2 <= radius * radius
-        if orientations is not None:
-            near &= d2 > 0.0  # the apex rule of ``points_in_sector``
-        near = np.nonzero(near)[0]
+        near = np.nonzero((d2 > 0.0) & (d2 <= r2))[0]
         col = near >= split
         a, b, dx, dy = a[near], b[near], dx[near], dy[near]
-        if orientations is None:
-            fwd = rev = slice(None)
-        else:
-            fwd = angle_in_arc(dx, dy, st[a], alpha)
-            rev = angle_in_arc(-dx, -dy, st[b], alpha)
+        fwd = angle_in_arc(dx, dy, st[a], alpha)
+        rev = angle_in_arc(-dx, -dy, st[b], alpha)
         # a -> b lies in block ``col + 1`` and b -> a in block ``1 - col``.
         out.append((((col + 1) * n + order[a]) * n + b)[fwd])
         out.append((((1 - col) * n + order[b]) * n + a)[rev])
-    block_i, pos_j = np.divmod(np.sort(np.concatenate(out)), max(n, 1))
+    block_i, pos_j = np.divmod(np.sort(np.concatenate(out)), n)
     return block_i % n, order[pos_j]

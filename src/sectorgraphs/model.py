@@ -103,22 +103,16 @@ def sample_graph(params: ModelParams, stream: TrialStream) -> FaultySectorGraph:
     orientations = TWO_PI * gen.random(realized)
     alive = gen.random(realized) < 1.0 - params.v
 
-    alive_idx = np.nonzero(alive)[0]
-    if alive_idx.size < 2:
-        arcs = np.empty((0, 2), dtype=np.int64)
-        return FaultySectorGraph(params, realized, positions, orientations, alive, arcs)
-
     # Dead vertices neither send nor receive, so index only the alive ones.
-    alive_pos = positions[alive_idx]
-    idx = build_index(alive_pos, params.r)
+    alive_idx = np.nonzero(alive)[0]
     ia, ja = ordered_pairs_within(
-        idx, alive_pos, params.r, orientations[alive_idx], params.alpha
+        build_index(positions[alive_idx], params.r), orientations[alive_idx], params.alpha
     )
     i, j = alive_idx[ia], alive_idx[ja]
-    if params.q > 0.0 and i.size:
+    if params.q > 0.0:
         survives = stream.pair_uniforms(i, j) >= params.q
         i, j = i[survives], j[survives]
-    arcs = np.stack([i, j], axis=1) if i.size else np.empty((0, 2), dtype=np.int64)
+    arcs = np.stack([i, j], axis=1)
     return FaultySectorGraph(params, realized, positions, orientations, alive, arcs)
 
 
@@ -129,9 +123,6 @@ def sample_trial(params: ModelParams, trial_index: int) -> FaultySectorGraph:
 
 def _degree_arrays(g: FaultySectorGraph) -> tuple[np.ndarray, np.ndarray]:
     n = g.realized_count
-    if g.arcs.shape[0] == 0:
-        z = np.zeros(n, dtype=np.int64)
-        return z, z.copy()
     out_all = np.bincount(g.arcs[:, 0], minlength=n)
     in_all = np.bincount(g.arcs[:, 1], minlength=n)
     return out_all, in_all
@@ -204,18 +195,22 @@ def write_vertex_csv(g: FaultySectorGraph, path) -> None:
 
 
 def check_structure(g: FaultySectorGraph) -> None:
-    """Raise AssertionError if a structural invariant fails.
-
-    Checks arc-degree conservation, no dead endpoints, distance bound, and
-    sector membership of every arc.
+    """Raise AssertionError naming the first failed structural invariant:
+    arc-degree conservation, no dead endpoints, distance bound, or sector
+    membership of every arc. Raised explicitly, so ``python -O`` checks too.
     """
     out_all, in_all = _degree_arrays(g)
-    assert out_all.sum() == in_all.sum() == g.arcs.shape[0]
-    if g.arcs.shape[0]:
-        i, j = g.arcs[:, 0], g.arcs[:, 1]
-        assert bool(np.all(g.alive[i]) and np.all(g.alive[j]))
-        d = g.positions[j] - g.positions[i]
-        d2 = d[:, 0] ** 2 + d[:, 1] ** 2
-        assert bool(np.all(d2 <= g.params.r**2) and np.all(d2 > 0.0))
-        ok = angle_in_arc(d[:, 0], d[:, 1], g.orientations[i], g.params.alpha)
-        assert bool(np.all(ok))
+    i, j = g.arcs[:, 0], g.arcs[:, 1]
+    d = g.positions[j] - g.positions[i]
+    d2 = d[:, 0] ** 2 + d[:, 1] ** 2
+    in_sector = angle_in_arc(d[:, 0], d[:, 1], g.orientations[i], g.params.alpha)
+    invariants = {
+        "degree sums differ from the arc count": out_all.sum() == in_all.sum() == g.arcs.shape[0],
+        "an arc has a dead endpoint": np.all(g.alive[i]) and np.all(g.alive[j]),
+        "an arc is longer than r": np.all(d2 <= g.params.r**2),
+        "an arc joins coincident points": np.all(d2 > 0.0),
+        "an arc leaves its tail's sector": np.all(in_sector),
+    }
+    for broken, holds in invariants.items():
+        if not holds:
+            raise AssertionError(f"graph structure: {broken}")

@@ -21,33 +21,38 @@ from sectorgraphs.geometry import (
 
 
 def _scan_pairs(pts: np.ndarray, radius: float) -> set[tuple[int, int]]:
-    """Ordered pairs ``i != j`` within ``radius``, by a blockwise O(N^2) scan."""
+    """Ordered pairs at squared distance ``0 < d2 <= radius**2``, by a
+    blockwise O(N^2) scan: the arcs of the full disk."""
     pairs = set()
     for lo in range(0, len(pts), 250):
         block = pts[lo : lo + 250]
         dx = pts[None, :, 0] - block[:, None, 0]
         dy = pts[None, :, 1] - block[:, None, 1]
-        i, j = np.nonzero(dx * dx + dy * dy <= radius * radius)
+        d2 = dx * dx + dy * dy
+        i, j = np.nonzero((d2 > 0.0) & (d2 <= radius * radius))
         pairs.update(zip((i + lo).tolist(), j.tolist()))
-    return {(i, j) for i, j in pairs if i != j}
+    return pairs
 
 
 @st.composite
 def _cell_edge_points(draw):
-    """``(points, cell_size, radius)`` with duplicate points and coordinates
-    on exact cell edges (multiples of ``cell_size``, 0.0, 1.0) or one ulp off
-    them; ``radius`` is ``cell_size`` or smaller."""
-    cell = draw(st.sampled_from([0.05, 0.1, 0.125, 0.2, 0.25, 1 / 3, 0.45]))
+    """``(points, radius)`` with duplicate points and coordinates on exact
+    cell edges (multiples of ``radius``, the cell side, 0.0, 1.0) or one ulp
+    off them."""
+    radius = draw(
+        st.one_of(
+            st.sampled_from([0.05, 0.1, 0.125, 0.2, 0.25, 1 / 3, 0.45]), st.floats(0.01, 0.45)
+        )
+    )
     edge = st.builds(
-        lambda k, ulp: float(np.clip(np.nextafter(k * cell, k * cell + ulp), 0.0, 1.0)),
-        st.integers(0, int(1 / cell) + 1),
+        lambda k, ulp: float(np.clip(np.nextafter(k * radius, k * radius + ulp), 0.0, 1.0)),
+        st.integers(0, int(1 / radius) + 1),
         st.sampled_from([0, -1, 1]),
     )
     coord = st.one_of(st.sampled_from([0.0, 1.0]), edge, st.floats(0.0, 1.0))
     base = draw(st.lists(st.tuples(coord, coord), max_size=10))
     dups = draw(st.lists(st.sampled_from(base), max_size=4)) if base else []
-    radius = draw(st.one_of(st.just(cell), st.floats(0.0, cell)))
-    return np.array(base + dups, dtype=float).reshape(-1, 2), cell, radius
+    return np.array(base + dups, dtype=float).reshape(-1, 2), radius
 
 
 def _apex_scan(pts, theta, alpha, radius) -> set[tuple[int, int]]:
@@ -77,8 +82,9 @@ _ALPHA = st.one_of(
 )
 
 
-def _index_pairs(pts: np.ndarray, cell_size: float, radius: float) -> set[tuple[int, int]]:
-    gi, gj = ordered_pairs_within(build_index(pts, cell_size), pts, radius)
+def _index_pairs(pts: np.ndarray, radius: float) -> set[tuple[int, int]]:
+    """The kernel's arcs of the full disk, whatever the orientations."""
+    gi, gj = ordered_pairs_within(build_index(pts, radius), np.zeros(len(pts)), TWO_PI)
     return set(zip(gi.tolist(), gj.tolist()))
 
 
@@ -458,14 +464,14 @@ class TestGridIndex:
         pts = np.empty((0, 2))
         idx = build_index(pts, 0.1)
         assert idx.count == 0
-        gi, gj = ordered_pairs_within(idx, pts, 0.1)
+        gi, gj = ordered_pairs_within(idx, np.empty(0), TWO_PI)
         assert gi.size == 0 and gj.size == 0
 
     def test_three_points_one_cell(self):
         pts = np.array([[0.51, 0.51], [0.52, 0.52], [0.53, 0.53]])
         idx = build_index(pts, 0.1)
         assert idx.count == 3
-        got = _index_pairs(pts, 0.1, 0.1)
+        got = _index_pairs(pts, 0.1)
         assert got == {(i, j) for i in range(3) for j in range(3) if i != j}
         assert got == _scan_pairs(pts, 0.1)
 
@@ -474,49 +480,43 @@ class TestGridIndex:
         pts = rng.random((10_000, 2))
         idx = build_index(pts, 0.03)
         assert idx.count == 10_000
-        assert _index_pairs(pts, 0.03, 0.03) == _scan_pairs(pts, 0.03)
+        assert _index_pairs(pts, 0.03) == _scan_pairs(pts, 0.03)
 
-    def test_rejects_nonpositive_cell(self):
+    def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             build_index(np.empty((0, 2)), 0.0)
 
-    def test_rejects_oversized_radius(self):
-        pts = np.array([[0.5, 0.5]])
-        idx = build_index(pts, 0.1)
-        with pytest.raises(ValueError):
-            ordered_pairs_within(idx, pts, 0.2)
-
     def test_isolated_point(self):
         pts = np.array([[0.5, 0.5], [0.9, 0.9]])
-        got = _index_pairs(pts, 0.05, 0.05)
+        got = _index_pairs(pts, 0.05)
         assert got == set() == _scan_pairs(pts, 0.05)
 
     def test_all_points_identical(self):
+        # Coincident points are never in each other's sector.
         pts = np.full((25, 2), 0.4)
-        got = _index_pairs(pts, 0.01, 0.01)
-        assert got == {(i, j) for i in range(25) for j in range(25) if i != j}
-        assert got == _scan_pairs(pts, 0.01)
+        got = _index_pairs(pts, 0.01)
+        assert got == set() == _scan_pairs(pts, 0.01)
 
     def test_ordered_pairs_match_linear_scan(self):
         rng = np.random.default_rng(321)
         pts = rng.random((400, 2))
         radius = 0.06
-        assert _index_pairs(pts, radius, radius) == _scan_pairs(pts, radius)
+        assert _index_pairs(pts, radius) == _scan_pairs(pts, radius)
 
     def test_point_on_square_border_indexed(self):
         pts = np.array([[1.0, 1.0], [0.98, 0.98]])
-        got = _index_pairs(pts, 0.05, 0.05)
+        got = _index_pairs(pts, 0.05)
         assert got == {(0, 1), (1, 0)} == _scan_pairs(pts, 0.05)
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(_cell_edge_points())
-    @example((np.empty((0, 2)), 0.1, 0.1))
-    @example((np.array([[0.3, 0.3]]), 0.1, 0.1))
-    @example((np.array([[0.3, 0.3], [0.4, 0.3]]), 0.1, 0.1))
-    @example((np.array([[0.2, 0.7], [0.2, 0.7]]), 0.1, 0.05))
+    @example((np.empty((0, 2)), 0.1))
+    @example((np.array([[0.3, 0.3]]), 0.1))
+    @example((np.array([[0.3, 0.3], [0.4, 0.3]]), 0.1))
+    @example((np.array([[0.2, 0.7], [0.2, 0.7]]), 0.05))
     def test_property_matches_linear_scan(self, case):
-        pts, cell, radius = case
-        gi, gj = ordered_pairs_within(build_index(pts, cell), pts, radius)
+        pts, radius = case
+        gi, gj = ordered_pairs_within(build_index(pts, radius), np.zeros(len(pts)), TWO_PI)
         got = list(zip(gi.tolist(), gj.tolist()))
         assert len(got) == len(set(got))
         assert set(got) == _scan_pairs(pts, radius)
@@ -524,9 +524,9 @@ class TestGridIndex:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(_cell_edge_points())
     def test_property_index_order_is_stable(self, case):
-        pts, cell, _ = case
-        idx = build_index(pts, cell)
-        keys = _cell_keys(pts, cell, idx._stride)
+        pts, radius = case
+        idx = build_index(pts, radius)
+        keys = _cell_keys(pts, radius, idx._stride)
         order = np.argsort(keys, kind="stable")
         assert np.array_equal(idx._order, order)
         assert np.array_equal(idx._keys, keys[order])
@@ -546,16 +546,17 @@ class TestGridIndex:
         assert np.array_equal(idx._keys, keys[order])
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
-    @pytest.mark.parametrize("oriented", [False, True])
-    def test_block_size_does_not_change_output(self, monkeypatch, chunk, oriented):
+    @pytest.mark.parametrize("sector", [False, True])
+    def test_block_size_does_not_change_output(self, monkeypatch, chunk, sector):
         rng = np.random.default_rng(chunk)
         pts = rng.random((2000, 2))
         pts = np.concatenate((pts, pts[:150], pts[:20]))
-        theta = rng.random(len(pts)) * TWO_PI if oriented else None
+        theta = rng.random(len(pts)) * TWO_PI
+        alpha = math.pi if sector else TWO_PI
         idx = build_index(pts, 0.03)
-        want = ordered_pairs_within(idx, pts, 0.03, theta, math.pi)
+        want = ordered_pairs_within(idx, theta, alpha)
         monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
-        got = ordered_pairs_within(idx, pts, 0.03, theta, math.pi)
+        got = ordered_pairs_within(idx, theta, alpha)
         assert all(np.array_equal(w, g) and w.dtype == g.dtype for w, g in zip(want, got))
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
@@ -566,21 +567,22 @@ class TestGridIndex:
         pts[290:] = pts[:10]
         theta = rng.random(300) * TWO_PI
         idx = build_index(pts, 0.1)
-        assert _index_pairs(pts, 0.1, 0.1) == _scan_pairs(pts, 0.1)
-        gi, gj = ordered_pairs_within(idx, pts, 0.1, theta, 2.0)
+        assert _index_pairs(pts, 0.1) == _scan_pairs(pts, 0.1)
+        gi, gj = ordered_pairs_within(idx, theta, 2.0)
         assert set(zip(gi.tolist(), gj.tolist())) == _apex_scan(pts, theta, 2.0, 0.1)
 
     @pytest.mark.parametrize("alpha", [None, 2.0])
     def test_last_columns_match_oracles(self, alpha):
         # Every occupied cell lies in the grid's last columns and top rows,
         # so the scan for the next column's cells runs past the last
-        # distinct key into the sentinel.
+        # distinct key into the sentinel. ``None`` is the full disk, checked
+        # against the distance scan.
         rng = np.random.default_rng(17)
         corner = [(x, y) for x in (0.85, 0.9, 0.95, 0.999, 1.0) for y in (0.8, 0.9, 0.95, 1.0)]
         pts = np.concatenate((np.array(corner), 0.8 + 0.2 * rng.random((40, 2))))
-        theta = None if alpha is None else rng.random(len(pts)) * TWO_PI
+        theta = rng.random(len(pts)) * TWO_PI
         idx = build_index(pts, 0.1)
-        gi, gj = ordered_pairs_within(idx, pts, 0.1, theta, alpha or TWO_PI)
+        gi, gj = ordered_pairs_within(idx, theta, alpha or TWO_PI)
         got = list(zip(gi.tolist(), gj.tolist()))
         assert len(got) == len(set(got))
         want = _scan_pairs(pts, 0.1) if alpha is None else _apex_scan(pts, theta, alpha, 0.1)
@@ -595,21 +597,21 @@ class TestGridIndex:
         pts = np.array([[0.5, 0.5], [0.52, 0.5]])
         idx = build_index(pts, 0.1)
         with pytest.raises(ValueError, match="orientations"):
-            ordered_pairs_within(idx, pts, 0.1, np.zeros(3), math.pi)
+            ordered_pairs_within(idx, np.zeros(3), math.pi)
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(_cell_edge_points().flatmap(_with_orientations), _ALPHA)
-    @example(((np.empty((0, 2)), 0.1, 0.1), []), math.pi)
-    @example(((np.array([[0.2, 0.7], [0.2, 0.7], [0.25, 0.7]]), 0.1, 0.1), [0.0] * 3), 1e-12)
+    @example(((np.empty((0, 2)), 0.1), []), math.pi)
+    @example(((np.array([[0.2, 0.7], [0.2, 0.7], [0.25, 0.7]]), 0.1), [0.0] * 3), 1e-12)
     def test_sector_property_matches_apex_scan(self, case, alpha):
-        (pts, cell, radius), theta = case
+        (pts, radius), theta = case
         theta = np.array(theta, dtype=float)
-        idx = build_index(pts, cell)
-        gi, gj = ordered_pairs_within(idx, pts, radius, theta, alpha)
+        idx = build_index(pts, radius)
+        gi, gj = ordered_pairs_within(idx, theta, alpha)
         assert gi.dtype == gj.dtype == np.int64
         assert set(zip(gi.tolist(), gj.tolist())) == _apex_scan(pts, theta, alpha, radius)
         # Order: column offset of j's cell from i's, then i, then j's key position.
-        column = np.floor(pts[:, 0] / cell).astype(np.int64)
+        column = np.floor(pts[:, 0] / radius).astype(np.int64)
         key_pos = np.empty(idx.count, dtype=np.int64)
         key_pos[idx._order] = np.arange(idx.count)
         sort_key = list(zip((column[gj] - column[gi]).tolist(), gi.tolist(), key_pos[gj].tolist()))

@@ -195,13 +195,9 @@ class TestModeAgreement:
         params = _params(n=300, seed=8)
         rec_a = run_trials(params, 40)
         rec_b = run_trials(params, 40)
-        ha = {}
-        for rec in rec_a:
-            ha[rec.max_out] = ha.get(rec.max_out, 0) + 1
-        hb = {}
-        for rec in rec_b:
-            hb[rec.max_out] = hb.get(rec.max_out, 0) + 1
-        assert half_l1(ha, hb) == 0.0
+        a = np.array([rec.max_out for rec in rec_a])
+        b = np.array([rec.max_out for rec in rec_b])
+        assert half_l1(a, b) == 0.0
 
     def test_tiny_smoke(self):
         params = _params(n=10, mu=0.5, seed=9)
@@ -222,8 +218,8 @@ class TestModeAgreement:
             mode_agreement([], [], seed=1)
 
     def test_half_l1_simple(self):
-        assert half_l1({0: 2, 1: 2}, {0: 2, 1: 2}) == 0.0
-        assert half_l1({0: 1}, {1: 1}) == 1.0
+        assert half_l1(np.array([0, 0, 1, 1]), np.array([1, 0, 1, 0])) == 0.0
+        assert half_l1(np.array([0]), np.array([1])) == 1.0
 
 
 class TestWCountCrossCheck:

@@ -1,5 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from sectorgraphs.geometry import (
 )
 from sectorgraphs.model import (
     ModelParams,
+    _degree_arrays,
     check_structure,
     degree_count,
     degree_summary,
@@ -48,6 +54,20 @@ class TestParams:
             ModelParams(**{**good, "mode": "exact"})
 
 
+def _assert_arcless(g):
+    """Checks of a graph without arcs; returns its summary. Such graphs go
+    through the same index and pair kernel as any other."""
+    assert g.arcs.shape == (0, 2) and g.arcs.dtype == np.int64
+    for degrees in _degree_arrays(g):
+        assert degrees.dtype == np.int64
+        assert np.array_equal(degrees, np.zeros(g.realized_count, dtype=np.int64))
+    check_structure(g)
+    s = degree_summary(g)
+    assert s.max_out == s.max_in == 0
+    assert s.empty == (s.alive_count == 0)
+    return s
+
+
 class TestSampleGraph:
     def test_certain_arc_without_faults(self):
         # With v = q = 0 the arc relation is purely geometric, so any
@@ -66,6 +86,27 @@ class TestSampleGraph:
         params = ModelParams(n=1, alpha=math.pi, r=0.1, v=0.0, q=0.0)
         g = sample_trial(params, 0)
         assert g.arcs.shape == (0, 2)
+        s = _assert_arcless(g)
+        assert s.alive_count == 1 and not s.empty
+
+    def test_poisson_draw_of_no_vertices(self):
+        params = ModelParams(n=1, alpha=math.pi, r=0.2, v=0.0, q=0.3, mode="poisson")
+        g = sample_trial(params, 0)
+        assert g.realized_count == 0 and g.positions.shape == (0, 2)
+        assert _assert_arcless(g).empty
+
+    @pytest.mark.parametrize("q", [0.0, 0.3])
+    def test_two_alive_vertices_at_one_point(self, q):
+        # Fixed draws in the stream's order: positions, orientations, alive flags.
+        draws = iter([np.full((3, 2), 0.4), np.array([0.0, 0.25, 0.5]), np.array([0.1, 0.1, 0.95])])
+        stream = SimpleNamespace(
+            generator=SimpleNamespace(random=lambda size: next(draws)),
+            pair_uniforms=TrialStream(0, 0).pair_uniforms,
+        )
+        g = sample_graph(ModelParams(n=3, alpha=TWO_PI, r=0.2, v=0.5, q=q), stream)
+        assert g.alive.tolist() == [True, True, False]
+        s = _assert_arcless(g)
+        assert s.alive_count == 2 and not s.empty
 
     def test_arc_set_matches_brute_force_replay(self):
         params = ModelParams(
@@ -129,6 +170,8 @@ class TestDegrees:
             s = degree_summary(g)
             if s.alive_count == 0:
                 assert s.empty and s.max_out == 0 and s.max_in == 0
+                assert g.realized_count > 0
+                _assert_arcless(g)
                 return
         pytest.fail("no empty alive set found at v = 0.99")
 
@@ -190,6 +233,55 @@ class TestDegrees:
         assert degree_count(g, DegreeSet.upper_tail(s.max_in), "in") >= 1
         with pytest.raises(ValueError):
             degree_count(g, DegreeSet.upper_tail(0), "total")
+
+
+_CHECK_UNDER_O = """
+import dataclasses, math
+import numpy as np
+from sectorgraphs.model import ModelParams, check_structure, sample_trial
+from sectorgraphs.theory import radius_for_mean_degree
+
+assert not __debug__
+r = radius_for_mean_degree(300, math.pi / 2, 0.2, 0.0, 2.0)
+g = sample_trial(ModelParams(n=300, alpha=math.pi / 2, r=r, v=0.2, q=0.0, master_seed=5), 0)
+check_structure(g)
+alive, dead = np.flatnonzero(g.alive), np.flatnonzero(~g.alive)
+far = alive[np.argmax(np.sum((g.positions[alive] - g.positions[alive[0]]) ** 2, axis=1))]
+
+
+def with_arc(tail, head):
+    return dataclasses.replace(g, arcs=np.concatenate((g.arcs, [[tail, head]])))
+
+
+broken = {
+    "self-loop": with_arc(alive[0], alive[0]),
+    "dead endpoint": with_arc(alive[0], dead[0]),
+    "too long": with_arc(alive[0], far),
+    # Turning every tail round by pi moves each arc's head out of its sector.
+    "out of sector": dataclasses.replace(g, orientations=(g.orientations + math.pi) % (2 * math.pi)),
+}
+for case, bad in broken.items():
+    try:
+        check_structure(bad)
+    except AssertionError as exc:
+        print(case, "|", exc)
+"""
+
+
+def test_check_structure_runs_under_optimize():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _CHECK_UNDER_O],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.splitlines() == [
+        "self-loop | graph structure: an arc joins coincident points",
+        "dead endpoint | graph structure: an arc has a dead endpoint",
+        "too long | graph structure: an arc is longer than r",
+        "out of sector | graph structure: an arc leaves its tail's sector",
+    ]
 
 
 class TestStatistics:
@@ -318,6 +410,7 @@ def test_sector_arc_order_is_pinned():
 
 def test_pair_order_is_pinned():
     pts = np.random.default_rng(99).random((10_000, 2))
-    i, j = ordered_pairs_within(build_index(pts, 0.02), pts, 0.02)
+    # The full disk: every pair of the (distinct) points within 0.02, both ways.
+    i, j = ordered_pairs_within(build_index(pts, 0.02), np.zeros(len(pts)), TWO_PI)
     assert i.size == 123_498
     assert _sha256(i, j) == "ccad2a6aeeaa41061558936913a2ab25f0f81bfe4793b7a4d82b32ddffa87386"
