@@ -20,8 +20,6 @@ from .model import (
 from .theory import (
     check_regime,
     focusing_index,
-    poisson_upper_tail,
-    poisson_upper_tail_log,
     predict,
     radius_for_mean_degree,
 )
@@ -37,8 +35,6 @@ __all__ = [
     "empirical_tv",
     "empirical_tv_bootstrap_se",
     "focusing_index",
-    "poisson_upper_tail",
-    "poisson_upper_tail_log",
     "predict",
     "radius_for_mean_degree",
     "run_trials",

@@ -51,6 +51,8 @@ from .randomness import derive_key, substream
 _DOM_EW = 0xB01
 _DOM_TV = 0xB02
 _DOM_BOOT = 0xB04
+_MAX_TERMS = 10_000
+BOOTSTRAP_REPLICATES = 200
 
 _SIDES = ("out", "in")
 
@@ -96,20 +98,18 @@ def expected_count(
     degree_set: DegreeSet,
     side: str,
     samples: int = 20_000,
-    seed: int | None = None,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of ``E W`` with its standard error.
 
     Out side: ``(1-v) * lam * E_{x,y} P[Poi(lam*(1-q)*(1-v)*|S(x,y,r) ∩ Q|) in A]``.
     In side: the sector area is replaced by ``(alpha/2pi) * |B(x,r) ∩ Q|``
     and there is no orientation average. The areas are exact; the
-    average over ``samples`` locations (and orientations) is Monte Carlo.
+    average over ``samples`` locations (and orientations) is Monte Carlo,
+    seeded from ``params.master_seed``, the side and the degree set.
     """
     _check_side(side)
     _check_samples(samples=samples)
-    if seed is None:
-        seed = _seed_for(params, _DOM_EW, side, degree_set)
-    rng = substream(seed)
+    rng = substream(_seed_for(params, _DOM_EW, side, degree_set))
     lam = float(params.n)
     thin = lam * (1.0 - params.q) * (1.0 - params.v)
     x = rng.random((samples, 2))
@@ -123,20 +123,20 @@ def expected_count(
     return pref * float(np.mean(vals)), pref * float(np.std(vals) / math.sqrt(samples))
 
 
-def _terms_needed(m_max: float, cap: float, max_terms: int) -> int:
+def _terms_needed(m_max: float, cap: float) -> int:
     """Terms of the shared-count summation so the residual ``P(Nc >= n)``
     falls below ``cap``: the first of the counts growing 1.4-fold from
-    about ``m_max`` to ``max_terms`` that reaches it; raises when
-    ``max_terms`` cannot."""
+    about ``m_max`` to ``_MAX_TERMS`` that reaches it; raises when
+    ``_MAX_TERMS`` cannot."""
     if m_max <= 0.0:
         return 1
-    counts = [min(max(2, int(m_max) + 1), max_terms)]
-    while counts[-1] < max_terms:
-        counts.append(min(int(counts[-1] * 1.4) + 1, max_terms))
+    counts = [min(max(2, int(m_max) + 1), _MAX_TERMS)]
+    while counts[-1] < _MAX_TERMS:
+        counts.append(min(int(counts[-1] * 1.4) + 1, _MAX_TERMS))
     reached = poisson.upper_tail_log(m_max, counts) <= math.log(cap)
     if not reached[-1]:
         raise TruncationBudgetExceeded(
-            f"residual above cap {cap:g} after {max_terms} terms at mean {m_max:.4g}"
+            f"residual above cap {cap:g} after {_MAX_TERMS} terms at mean {m_max:.4g}"
         )
     return counts[int(np.argmax(reached))]
 
@@ -149,7 +149,6 @@ def joint_count_prob(
     p2: np.ndarray,
     degree_set: DegreeSet,
     trunc_cap: float = 1e-8,
-    max_terms: int = 10_000,
 ) -> tuple[np.ndarray, float]:
     """P[{Nc+N1+B1 in A} and {Nc+N2+B2 in A}] for vectors of Poisson means.
 
@@ -158,12 +157,13 @@ def joint_count_prob(
     are Bernoulli with success probabilities ``p1``, ``p2`` (an absent
     arc has probability 0). Sums over the shared count ``Nc`` until
     residual mass is below ``trunc_cap`` for every row, so the number of
-    terms follows the largest ``mean_common``; returns the probabilities
-    and the worst residual, which bounds the truncation error.
+    terms follows the largest ``mean_common``, up to ``_MAX_TERMS``;
+    returns the probabilities and the worst residual, which bounds the
+    truncation error.
     """
     mc = np.asarray(mean_common, dtype=float)
     m_max = float(mc.max()) if mc.size else 0.0
-    n_terms = _terms_needed(m_max, trunc_cap, max_terms)
+    n_terms = _terms_needed(m_max, trunc_cap)
     probs = np.zeros_like(mc)
     cum = np.zeros_like(mc)
     pmf = np.exp(-mc)
@@ -217,8 +217,6 @@ def tv_bound(
     area_samples: int = 10_000,
     ew_samples: int = 20_000,
     trunc_cap: float = 1e-8,
-    max_terms: int = 10_000,
-    seed: int | None = None,
 ) -> TVBoundReport:
     """Evaluate the full bound ``min(1, 1/EW) * (I1 + I2)`` for one side.
 
@@ -226,14 +224,14 @@ def tv_bound(
     the radius-``3r`` ball around the first, with the square's measure
     ``(6r)^2`` folded into the integrand weight. The reported ``bound`` is
     additionally capped at 1 (a total-variation distance never exceeds 1);
-    ``bound_raw`` keeps the uncapped value. The region areas are exact, so
-    ``area_samples`` is ignored; it stays accepted for existing callers.
+    ``bound_raw`` keeps the uncapped value. The outer samples are seeded
+    from ``params.master_seed``, the side and the degree set. The region
+    areas are exact, so ``area_samples`` is ignored; it stays accepted for
+    existing callers.
     """
     _check_side(side)
     _check_samples(outer_samples=outer_samples, ew_samples=ew_samples)
-    if seed is None:
-        seed = _seed_for(params, _DOM_TV, side, degree_set)
-    rng = substream(seed)
+    rng = substream(_seed_for(params, _DOM_TV, side, degree_set))
     lam = float(params.n)
     r = params.r
     thin = lam * (1.0 - params.q) * (1.0 - params.v)
@@ -291,7 +289,6 @@ def tv_bound(
             p_b2,
             degree_set,
             trunc_cap,
-            max_terms,
         )
         joint[acc] = probs
     i2_vals = weight * joint
@@ -337,14 +334,13 @@ def empirical_tv(samples, mean: float) -> float:
     return 0.5 * (float(np.sum(np.abs(emp - pois))) + tail)
 
 
-def empirical_tv_bootstrap_se(
-    samples, mean: float, replicates: int = 200, seed: int = 0
-) -> float:
-    """Bootstrap standard error of ``empirical_tv`` over resampled data."""
+def empirical_tv_bootstrap_se(samples, mean: float, seed: int = 0) -> float:
+    """Bootstrap standard error of ``empirical_tv`` over
+    ``BOOTSTRAP_REPLICATES`` resamples of the data."""
     values = np.asarray(samples, dtype=np.int64)
     rng = substream(seed, _DOM_BOOT)
-    tvs = np.empty(replicates)
-    for b in range(replicates):
+    tvs = np.empty(BOOTSTRAP_REPLICATES)
+    for b in range(BOOTSTRAP_REPLICATES):
         resample = values[rng.integers(0, values.size, values.size)]
         tvs[b] = empirical_tv(resample, mean)
     return float(np.std(tvs))

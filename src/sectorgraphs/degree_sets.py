@@ -36,12 +36,8 @@ class DegreeSet:
     def count_in(self, degrees: np.ndarray) -> int:
         """How many entries of ``degrees`` lie in the set."""
         degrees = np.asarray(degrees)
-        if degrees.size == 0:
-            return 0
         if self.kind == "tail":
             return int(np.count_nonzero(degrees >= self.threshold))
-        if not self.members:
-            return 0
         return int(np.count_nonzero(np.isin(degrees, sorted(self.members))))
 
     def poisson_prob(self, mean, shift: int = 0) -> np.ndarray:

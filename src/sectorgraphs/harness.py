@@ -3,7 +3,7 @@
 Trial ``t`` of a run is fully determined by ``(master_seed, t)``, so worker
 count and execution order never change any record. Aggregation compares
 empirical max-degree laws against the two-point focusing prediction with
-exact binomial confidence intervals.
+exact binomial confidence intervals at level ``CI_LEVEL``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .bounds import BOOTSTRAP_REPLICATES
 from .degree_sets import DegreeSet
 from .model import (
     ModelParams,
@@ -32,6 +33,7 @@ from .theory import (
 )
 
 _DOM_AGREE_BOOT = 0xA61
+CI_LEVEL = 0.99
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,7 @@ def run_trials(
     return records
 
 
-def clopper_pearson(successes: int, trials: int, level: float = 0.99) -> tuple[float, float]:
+def clopper_pearson(successes: int, trials: int, level: float = CI_LEVEL) -> tuple[float, float]:
     """Exact binomial confidence interval.
 
     The endpoints are beta quantiles, ``scipy.stats.beta.ppf``; the same
@@ -189,7 +191,6 @@ def _compare_side(
     prediction: FocusingPrediction,
     slack: float,
     side: str,
-    ci_level: float,
 ) -> SideComparison:
     t = len(records)
     hist = int_hist([rec.max_out if side == "out" else rec.max_in for rec in records])
@@ -198,15 +199,15 @@ def _compare_side(
     mass_km1 = n_km1 / t
     mass_k = n_k / t
     two = (n_km1 + n_k) / t
-    lo1, hi1 = clopper_pearson(n_km1, t, ci_level)
-    lo2, hi2 = clopper_pearson(n_km1 + n_k, t, ci_level)
+    lo1, hi1 = clopper_pearson(n_km1, t)
+    lo2, hi2 = clopper_pearson(n_km1 + n_k, t)
     half1 = 0.5 * (hi1 - lo1)
     half2 = 0.5 * (hi2 - lo2)
     point_pass = abs(mass_km1 - prediction.p_km1) <= slack + half1
     two_pass = two >= 1.0 - 2.0 * slack
     thresholds = (
         f"|mass(k-1) - exp(-a)| <= slack {slack} + CP half-width {half1:.4f} "
-        f"at level {ci_level}; two-point mass >= 1 - 2*{slack}"
+        f"at level {CI_LEVEL}; two-point mass >= 1 - 2*{slack}"
     )
     return SideComparison(
         side=side,
@@ -231,22 +232,19 @@ def compare(
     slack: float,
     params: ModelParams | None = None,
     sides: tuple[str, ...] = ("out", "in"),
-    ci_level: float = 0.99,
     wall_clock_seconds: float = 0.0,
 ) -> ExperimentReport:
-    """Score empirical max-degree masses against the two-point prediction."""
+    """Score empirical max-degree masses against the two-point prediction,
+    with Clopper-Pearson intervals at level ``CI_LEVEL``."""
     if not records:
         raise ValueError("records must be nonempty")
-    out = {
-        side: _compare_side(records, prediction, slack, side, ci_level)
-        for side in sides
-    }
+    out = {side: _compare_side(records, prediction, slack, side) for side in sides}
     return ExperimentReport(
         params=params,
         prediction=prediction,
         trials=len(records),
         slack=slack,
-        ci_level=ci_level,
+        ci_level=CI_LEVEL,
         sides=out,
         overall_pass=all(sc.verdict == "PASS" for sc in out.values()),
         wall_clock_seconds=wall_clock_seconds,
@@ -259,7 +257,6 @@ def verify(
     slack: float = 0.08,
     parallelism: int = 1,
     sides: tuple[str, ...] = ("out", "in"),
-    ci_level: float = 0.99,
     prediction: FocusingPrediction | None = None,
 ) -> tuple[ExperimentReport, list[TrialRecord]]:
     """Predict, simulate and compare in one step."""
@@ -272,7 +269,6 @@ def verify(
         slack,
         params=params,
         sides=sides,
-        ci_level=ci_level,
         wall_clock_seconds=time.perf_counter() - started,
     )
     return report, records
@@ -332,10 +328,10 @@ def mode_agreement(
     records_binomial: list[TrialRecord],
     records_poisson: list[TrialRecord],
     seed: int,
-    bootstrap: int = 200,
 ) -> ModeAgreementReport:
     """Distance between the max-degree laws of binomial- and Poisson-mode
-    records of equal count, with a bootstrap error bar seeded by ``seed``."""
+    records of equal count, with a bootstrap error bar over
+    ``BOOTSTRAP_REPLICATES`` resamples seeded by ``seed``."""
     trials = len(records_binomial)
     if trials < 1 or len(records_poisson) != trials:
         raise ValueError("need two nonempty record lists of equal length")
@@ -345,8 +341,8 @@ def mode_agreement(
         vals_b = np.array([r.max_out if side == "out" else r.max_in for r in records_binomial])
         vals_p = np.array([r.max_out if side == "out" else r.max_in for r in records_poisson])
         dist = half_l1(vals_b, vals_p)
-        reps = np.empty(bootstrap)
-        for i in range(bootstrap):
+        reps = np.empty(BOOTSTRAP_REPLICATES)
+        for i in range(BOOTSTRAP_REPLICATES):
             rb = vals_b[rng.integers(0, trials, trials)]
             rp = vals_p[rng.integers(0, trials, trials)]
             reps[i] = half_l1(rb, rp)

@@ -196,16 +196,18 @@ def write_vertex_csv(g: FaultySectorGraph, path) -> None:
 
 def check_structure(g: FaultySectorGraph) -> None:
     """Raise AssertionError naming the first failed structural invariant:
-    arc-degree conservation, no dead endpoints, distance bound, or sector
-    membership of every arc. Raised explicitly, so ``python -O`` checks too.
+    endpoints that are vertex indices, no dead endpoints, distance bound,
+    distinct endpoints, or sector membership of every arc. Raised
+    explicitly, so ``python -O`` checks too.
     """
-    out_all, in_all = _degree_arrays(g)
+    # Tested first: the other invariants index by the endpoints.
+    if not np.all((g.arcs >= 0) & (g.arcs < g.realized_count)):
+        raise AssertionError("graph structure: an arc endpoint is not a vertex index")
     i, j = g.arcs[:, 0], g.arcs[:, 1]
     d = g.positions[j] - g.positions[i]
     d2 = d[:, 0] ** 2 + d[:, 1] ** 2
     in_sector = angle_in_arc(d[:, 0], d[:, 1], g.orientations[i], g.params.alpha)
     invariants = {
-        "degree sums differ from the arc count": out_all.sum() == in_all.sum() == g.arcs.shape[0],
         "an arc has a dead endpoint": np.all(g.alive[i]) and np.all(g.alive[j]),
         "an arc is longer than r": np.all(d2 <= g.params.r**2),
         "an arc joins coincident points": np.all(d2 > 0.0),

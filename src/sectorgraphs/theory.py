@@ -1,6 +1,6 @@
 """Analytic quantities of the model: mean degree and the two-point
-focusing prediction for the maximum out/in-degree. The scalar Poisson
-tails ``poisson_upper_tail(_log)`` are one-row calls of ``poisson``.
+focusing prediction for the maximum out/in-degree. The Poisson tails
+are scalar calls of ``poisson.upper_tail``.
 
 For mean degree ``mu = (alpha/2) * n * r**2 * (1-v) * (1-q)`` bounded away
 from zero and growing slower than any power of ``ln n``, the maximum degree
@@ -58,16 +58,11 @@ class RegimeReport:
     warnings: tuple[str, ...]
 
 
-def mean_degree_value(n: float, alpha: float, r: float, v: float, q: float) -> float:
-    """Raw formula ``(alpha/2) * n * r**2 * (1-v) * (1-q)`` without the
-    parameter-range checks of ``ModelParams``."""
-    return 0.5 * alpha * n * r * r * (1.0 - v) * (1.0 - q)
-
-
 def mean_degree(params: ModelParams) -> float:
     """``(alpha/2) * n * r**2 * (1-v) * (1-q)``; also the asymptotic mean
     out-degree of an interior alive vertex."""
-    return mean_degree_value(params.n, params.alpha, params.r, params.v, params.q)
+    p = params
+    return 0.5 * p.alpha * p.n * p.r * p.r * (1.0 - p.v) * (1.0 - p.q)
 
 
 def radius_for_mean_degree(
@@ -84,20 +79,6 @@ def radius_for_mean_degree(
     return r
 
 
-def poisson_upper_tail_log(mean: float, j: int) -> float:
-    """``log P(Poi(mean) >= j)``; the scalar call of ``poisson.upper_tail_log``."""
-    if mean <= 0.0:
-        raise ValueError("mean must be positive")
-    return float(poisson.upper_tail_log(mean, int(j)))
-
-
-def poisson_upper_tail(mean: float, j: int) -> float:
-    """``P(Poi(mean) >= j)``; underflows to 0 below the float range."""
-    if mean <= 0.0:
-        raise ValueError("mean must be positive")
-    return float(poisson.upper_tail(mean, int(j)))
-
-
 def focusing_index(n: int, v: float, mu: float) -> tuple[int, int]:
     """The pair ``(j, k)`` locating the two-point concentration.
 
@@ -108,12 +89,14 @@ def focusing_index(n: int, v: float, mu: float) -> tuple[int, int]:
     """
     if n * (1.0 - v) <= 1.0:
         raise NoFocusingIndex(f"n*(1-v) = {n * (1.0 - v):.6g} must exceed 1")
+    if mu <= 0.0:
+        raise ValueError("mu must be positive")
     bound = 1.0 / (1.0 - v)
     xi_prev = 1.0  # tail(0)
     j = 0
     while True:
         j += 1
-        xi_j = poisson_upper_tail(mu, j)
+        xi_j = float(poisson.upper_tail(mu, j))
         if n * xi_j <= bound:
             break
         xi_prev = xi_j
@@ -131,7 +114,7 @@ def predict(params: ModelParams, k: int | None = None) -> FocusingPrediction:
     mu = mean_degree(params)
     j, k_focus = focusing_index(params.n, params.v, mu)
     k = k_focus if k is None else k
-    xi_k = poisson_upper_tail(mu, k)
+    xi_k = float(poisson.upper_tail(mu, k))
     a = params.n * (1.0 - params.v) * xi_k
     p_km1 = math.exp(-a)
     return FocusingPrediction(mu=mu, j=j, k=k, xi_k=xi_k, a=a, p_km1=p_km1, p_k=1.0 - p_km1)

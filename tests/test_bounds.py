@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import sampled_decomposition
+from sectorgraphs import poisson
 from sectorgraphs.bounds import (
     TruncationBudgetExceeded,
     decompose_regions,
@@ -18,15 +19,15 @@ from sectorgraphs.degree_sets import DegreeSet
 from sectorgraphs.geometry import TWO_PI, clipped_sector_areas, in_unit_square, points_in_sector
 from sectorgraphs.harness import run_trials
 from sectorgraphs.model import ModelParams
-from sectorgraphs.theory import poisson_upper_tail, predict, radius_for_mean_degree
+from sectorgraphs.theory import predict, radius_for_mean_degree
 
 
 
-def _joint(common, only1, only2, lam, degree_set, p1=0.0, p2=0.0, **kwargs):
+def _joint(common, only1, only2, lam, degree_set, p1=0.0, p2=0.0):
     """``joint_count_prob`` of one row of piece areas scaled by ``lam``,
     with arc probabilities ``p1``, ``p2`` (0 for an absent arc)."""
     means = [np.array([lam * area]) for area in (common, only1, only2)]
-    probs, _ = joint_count_prob(*means, np.array([p1]), np.array([p2]), degree_set, **kwargs)
+    probs, _ = joint_count_prob(*means, np.array([p1]), np.array([p2]), degree_set)
     return float(probs[0])
 
 
@@ -49,8 +50,8 @@ class TestExpectedCount:
         ds = DegreeSet.upper_tail(3)
         ew, se = expected_count(params, ds, "out", samples=20_000)
         mu_bar = 0.5 * math.pi * 10**4 * 0.01**2
-        closed = 10**4 * poisson_upper_tail(mu_bar, 3)
-        strip = 10**4 * poisson_upper_tail(mu_bar, 3) * 8 * 0.01
+        closed = 10**4 * poisson.upper_tail(mu_bar, 3)
+        strip = 10**4 * poisson.upper_tail(mu_bar, 3) * 8 * 0.01
         assert ew <= closed + 4 * se
         assert abs(ew - closed) <= 4 * se + strip
 
@@ -172,7 +173,7 @@ class TestJointCountProb:
         ds = DegreeSet.upper_tail(2)
         lam = 40.0
         got = _joint(0.0, 0.03, 0.05, lam, ds)
-        want = poisson_upper_tail(lam * 0.03, 2) * poisson_upper_tail(lam * 0.05, 2)
+        want = poisson.upper_tail(lam * 0.03, 2) * poisson.upper_tail(lam * 0.05, 2)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_identical_regions_zero_event(self):
@@ -237,7 +238,7 @@ class TestJointCountProb:
         errors = []
         for common in (0.02, 0.01, 0.005, 0.002, 0.0005, 0.0001):
             joint = _joint(common, m1, m2, lam, ds)
-            product = poisson_upper_tail(lam * (common + m1), 2) * poisson_upper_tail(
+            product = poisson.upper_tail(lam * (common + m1), 2) * poisson.upper_tail(
                 lam * (common + m2), 2
             )
             errors.append(abs(joint - product))
@@ -250,8 +251,8 @@ class TestJointCountProb:
         m1 = np.array([0.5, 0.8])
         m2 = np.array([0.2, 0.9])
         p = np.array([0.5, 0.0])
-        loose, res_loose = joint_count_prob(mc, m1, m2, p, p, ds, 1e-4, 10_000)
-        tight, res_tight = joint_count_prob(mc, m1, m2, p, p, ds, 1e-9, 10_000)
+        loose, res_loose = joint_count_prob(mc, m1, m2, p, p, ds, 1e-4)
+        tight, res_tight = joint_count_prob(mc, m1, m2, p, p, ds, 1e-9)
         assert res_tight < res_loose <= 1e-4 * 1.01
         assert np.max(np.abs(loose - tight)) <= res_loose
 
@@ -272,9 +273,10 @@ class TestJointCountProb:
             assert abs(one[0] - probs[i]) <= max(residual, res_one) + 1e-14
 
     def test_budget_exceeded(self):
+        # A shared mean of 1e4 needs more than the 10,000-term budget.
         ds = DegreeSet.upper_tail(2)
         with pytest.raises(TruncationBudgetExceeded):
-            _joint(10.0, 0.0, 0.0, 100.0, ds, max_terms=50)
+            _joint(100.0, 0.0, 0.0, 100.0, ds)
 
     def test_finite_set_is_pinned(self):
         # ``float.hex`` of a ``set:1,3`` batch with zero means, an absent,
@@ -344,18 +346,18 @@ class TestTvBound:
             outer_samples=3000, ew_samples=2000,
         )
         n, r = small_config.n, small_config.r
-        crude = n * n * poisson_upper_tail(1.0, k) ** 2 * math.pi * (3 * r) ** 2
+        crude = n * n * poisson.upper_tail(1.0, k) ** 2 * math.pi * (3 * r) ** 2
         assert rep.i1 <= crude + 3 * rep.i1_se
 
     def test_truncation_error_accounts_for_stricter_cap(self, small_config):
         ds = DegreeSet.upper_tail(6)
         loose = tv_bound(
             small_config, ds, "out",
-            outer_samples=500, ew_samples=500, trunc_cap=1e-3, seed=7,
+            outer_samples=500, ew_samples=500, trunc_cap=1e-3,
         )
         tight = tv_bound(
             small_config, ds, "out",
-            outer_samples=500, ew_samples=500, trunc_cap=1e-10, seed=7,
+            outer_samples=500, ew_samples=500, trunc_cap=1e-10,
         )
         pref = small_config.n**2
         slack = pref * (6 * small_config.r) ** 2 * loose.truncation_error

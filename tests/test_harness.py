@@ -22,7 +22,6 @@ from sectorgraphs.model import ModelParams, degree_summary, sample_trial
 from sectorgraphs.theory import (
     FocusingPrediction,
     mean_degree,
-    poisson_upper_tail,
     predict,
     radius_for_mean_degree,
 )

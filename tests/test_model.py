@@ -257,6 +257,8 @@ broken = {
     "self-loop": with_arc(alive[0], alive[0]),
     "dead endpoint": with_arc(alive[0], dead[0]),
     "too long": with_arc(alive[0], far),
+    "endpoint past the last vertex": with_arc(alive[0], g.realized_count),
+    "negative endpoint": with_arc(-1, alive[0]),
     # Turning every tail round by pi moves each arc's head out of its sector.
     "out of sector": dataclasses.replace(g, orientations=(g.orientations + math.pi) % (2 * math.pi)),
 }
@@ -280,6 +282,8 @@ def test_check_structure_runs_under_optimize():
         "self-loop | graph structure: an arc joins coincident points",
         "dead endpoint | graph structure: an arc has a dead endpoint",
         "too long | graph structure: an arc is longer than r",
+        "endpoint past the last vertex | graph structure: an arc endpoint is not a vertex index",
+        "negative endpoint | graph structure: an arc endpoint is not a vertex index",
         "out of sector | graph structure: an arc leaves its tail's sector",
     ]
 

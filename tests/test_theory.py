@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sectorgraphs import poisson
 from sectorgraphs.model import ModelParams
 from sectorgraphs.theory import (
     NoFocusingIndex,
@@ -12,9 +13,6 @@ from sectorgraphs.theory import (
     check_regime,
     focusing_index,
     mean_degree,
-    mean_degree_value,
-    poisson_upper_tail,
-    poisson_upper_tail_log,
     predict,
     radius_for_mean_degree,
 )
@@ -29,7 +27,8 @@ class TestMeanDegree:
         assert mean_degree(params) == pytest.approx(1.017876019763093, rel=1e-12)
 
     def test_unit_factors(self):
-        assert mean_degree_value(1, 2 * math.pi, 1.0, 0.0, 0.0) == pytest.approx(math.pi)
+        params = ModelParams(n=16, alpha=2 * math.pi, r=0.25, v=0, q=0)
+        assert mean_degree(params) == math.pi
 
     def test_quadratic_in_radius(self):
         base = ModelParams(n=500, alpha=1.5, r=0.02, v=0.1, q=0.3)
@@ -55,30 +54,30 @@ class TestRadiusForMeanDegree:
 
 class TestPoissonUpperTail:
     def test_zero_threshold_full_mass(self):
-        assert poisson_upper_tail(3.7, 0) == 1.0
+        assert poisson.upper_tail(3.7, 0) == 1.0
 
     def test_one_threshold(self):
-        assert poisson_upper_tail(1.0, 1) == pytest.approx(1 - math.exp(-1), rel=1e-14)
+        assert poisson.upper_tail(1.0, 1) == pytest.approx(1 - math.exp(-1), rel=1e-14)
 
     def test_frozen_oracle_value(self):
         # mpmath term-by-term summation gives 8.3241149288023108e-5.
-        assert poisson_upper_tail(1.0, 7) == pytest.approx(8.3241149288023108e-5, rel=1e-12)
+        assert poisson.upper_tail(1.0, 7) == pytest.approx(8.3241149288023108e-5, rel=1e-12)
 
     def test_against_extended_precision_grid(self):
         for mu in (0.1, 0.7, 1.0, 3.0, 9.5, 25.0, 50.0):
             for j in (0, 1, 2, 5, 11, 30, 80, 150, 200):
                 want = poisson_tail_mp(mu, j)
-                got = poisson_upper_tail(mu, j)
+                got = poisson.upper_tail(mu, j)
                 if want > 1e-290:
                     assert abs(got - float(want)) / float(want) <= 1e-10
                 log_want = float(__import__("mpmath").log(want))
-                assert abs(poisson_upper_tail_log(mu, j) - log_want) <= 1e-10
+                assert abs(poisson.upper_tail_log(mu, j) - log_want) <= 1e-10
 
     def test_strictly_decreasing_until_underflow(self):
         mu = 2.3
-        prev = poisson_upper_tail(mu, 0)
+        prev = poisson.upper_tail(mu, 0)
         for j in range(1, 60):
-            cur = poisson_upper_tail(mu, j)
+            cur = poisson.upper_tail(mu, j)
             if cur == 0.0:
                 break
             assert cur < prev
@@ -87,7 +86,7 @@ class TestPoissonUpperTail:
     def test_difference_is_pmf(self):
         for mu in (0.4, 1.0, 6.0, 20.0):
             for j in range(0, 40):
-                diff = poisson_upper_tail(mu, j) - poisson_upper_tail(mu, j + 1)
+                diff = poisson.upper_tail(mu, j) - poisson.upper_tail(mu, j + 1)
                 pmf = math.exp(-mu + j * math.log(mu) - math.lgamma(j + 1))
                 if pmf > 1e-280:
                     assert diff == pytest.approx(pmf, rel=1e-10)
@@ -98,8 +97,8 @@ class TestPoissonUpperTail:
         j=st.integers(min_value=0, max_value=200),
     )
     def test_in_unit_interval_and_monotone(self, mu, j):
-        a = poisson_upper_tail(mu, j)
-        b = poisson_upper_tail(mu, j + 1)
+        a = poisson.upper_tail(mu, j)
+        b = poisson.upper_tail(mu, j + 1)
         assert 0.0 <= b <= a <= 1.0
 
 
@@ -123,14 +122,21 @@ class TestFocusingIndex:
         with pytest.raises(NoFocusingIndex):
             focusing_index(10, 0.9, 1.0)
 
+    def test_rejects_nonpositive_mean(self):
+        # Mean 0 has no two-point law, and a negative mean's tails are NaN,
+        # which never meet the bound, so the search would not end.
+        for mu in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                focusing_index(100, 0.0, mu)
+
     def test_defining_inequalities_on_grid(self):
         for n in (10**2, 10**3, 10**4, 10**5, 10**6):
             for mu in (0.5, 1.0, 2.0, 5.0):
                 for v in (0.0, 0.3, 0.6):
                     j, k = focusing_index(n, v, mu)
                     bound = 1.0 / (1.0 - v)
-                    xi_j = poisson_upper_tail(mu, j)
-                    xi_jm1 = poisson_upper_tail(mu, j - 1)
+                    xi_j = poisson.upper_tail(mu, j)
+                    xi_jm1 = poisson.upper_tail(mu, j - 1)
                     assert n * xi_jm1 > bound >= n * xi_j
                     if (1 - v) * n * xi_j <= math.sqrt(xi_j / xi_jm1):
                         assert k == j - 1
@@ -154,8 +160,8 @@ class TestFocusingIndex:
                 j1, k1 = focusing_index(n, 0.5, mu)
                 j2, k2 = focusing_index(n // 2, 0.0, mu)
                 assert (j1, k1) == (j2, k2)
-                a1 = n * 0.5 * poisson_upper_tail(mu, k1)
-                a2 = (n // 2) * poisson_upper_tail(mu, k2)
+                a1 = n * 0.5 * poisson.upper_tail(mu, k1)
+                a2 = (n // 2) * poisson.upper_tail(mu, k2)
                 assert a1 == pytest.approx(a2, rel=1e-12)
 
 
@@ -178,7 +184,7 @@ class TestPredict:
 
     def test_mass_parameter_monotone_in_v_at_fixed_k(self):
         n, mu, k = 10**4, 1.0, 7
-        xi = poisson_upper_tail(mu, k)
+        xi = poisson.upper_tail(mu, k)
         values = [n * (1 - v) * xi for v in (0.0, 0.2, 0.4, 0.6)]
         assert values == sorted(values, reverse=True)
 
@@ -190,7 +196,7 @@ class TestPredict:
             assert predict(params, k=pred.k) == pred
             other = predict(params, k=pred.k + 3)
             assert (other.mu, other.j, other.k) == (pred.mu, pred.j, pred.k + 3)
-            assert other.xi_k == poisson_upper_tail(pred.mu, pred.k + 3)
+            assert other.xi_k == poisson.upper_tail(pred.mu, pred.k + 3)
 
 
 class TestRegime:
