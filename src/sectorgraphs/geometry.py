@@ -20,6 +20,9 @@ TWO_PI = 2.0 * math.pi
 # Apexes per block of ``ordered_pairs_within``; the output does not
 # depend on it.
 _PAIR_CHUNK = 8192
+# ``ordered_pairs_within`` reads its range bounds from a table of
+# ``stride**2`` cells only while that is at most ``8 * N`` plus this.
+_TABLE_SLACK = 2**16
 
 
 def angle_in_arc(dx, dy, elevation, width):
@@ -293,18 +296,23 @@ def _cell_keys(points: np.ndarray, cell_size: float, stride: int) -> np.ndarray:
 
 
 def build_index(points: np.ndarray, radius: float) -> GridIndex:
-    """Index an ``(N, 2)`` array of points on a grid of cells of side
-    ``radius`` (must be positive).
+    """Index an ``(N, 2)`` array of points of ``[0, 1]^2`` on a grid of
+    cells of side ``radius`` (above about 3.3e-10, so int64 keys fit).
 
-    Keys are below ``stride**2``, so when ``stride**2 * N < 2**63`` one
-    sort of the distinct int64 values ``key * N + i`` gives the keys and
-    their stable order; otherwise a stable ``argsort`` gives the same.
+    Keys are below ``stride**2 < 2**63``, so when ``stride**2 * N < 2**63``
+    one sort of the distinct int64 values ``key * N + i`` gives the keys
+    and their stable order; otherwise a stable ``argsort`` gives the same.
     """
     if not radius > 0.0:
         raise ValueError("radius must be positive")
     xy = np.asarray(points, dtype=float)
     n = xy.shape[0]
+    # NaN fails both comparisons.
+    if n and not (xy.min() >= 0.0 and xy.max() <= 1.0):
+        raise ValueError("points must lie in [0, 1]^2")
     stride = int(math.floor(1.0 / radius)) + 4
+    if stride * stride >= 2**63:
+        raise ValueError("radius too small: cell keys would overflow int64")
     keys = _cell_keys(xy, radius, stride)
     if stride * stride * n < 2**63:
         keys, order = np.divmod(np.sort(keys * n + np.arange(n, dtype=np.int64)), n)
@@ -312,24 +320,6 @@ def build_index(points: np.ndarray, radius: float) -> GridIndex:
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
     return GridIndex(xy, radius, n, keys, order, stride)
-
-
-def _next_column_bounds(ukey, bound, stride):
-    """``start(key + stride - 1)`` and ``stop(key + stride + 1)`` for each
-    distinct key: the key positions of the next column's three cells.
-
-    Those cells hold at most three distinct keys, so the stop is found by
-    stepping at most three cells past the start, never past the last key.
-    The stops overwrite the steps' positions: a fresh key-sized array there
-    raised the peak RSS of repeated n = 10^6 graphs by about 6 MiB.
-    """
-    pos = np.searchsorted(ukey, ukey + (stride - 1))
-    start = bound[pos]
-    for _ in range(3):
-        gap = np.take(ukey, pos, mode="clip")
-        gap -= ukey
-        pos += (gap <= stride + 1) & (pos < ukey.size)
-    return start, np.take(bound, pos, out=pos)
 
 
 def ordered_pairs_within(
@@ -350,20 +340,24 @@ def ordered_pairs_within(
 
     Each unordered pair is visited once, from its endpoint earlier in key
     order. The partners of the point at key position ``pos`` are two
-    ranges of key positions: ``pos + 1 .. stop(key + 1)``, the rest of its
-    cell and the cell above, and ``start(key + stride - 1) ..
-    stop(key + stride + 1)``, the three cells of the next column. The
-    bounds are found once per distinct cell: ``stop(key + 1)`` from the
-    next distinct cell, ``start(key + stride - 1)`` by a search over the
-    distinct keys, and ``stop(key + stride + 1)`` by counting the at most
-    three distinct cells from there that still belong to the next column.
-    Apexes are taken in blocks of ``_PAIR_CHUNK`` key
-    positions, so temporaries stay O(block); the final sort makes the
-    output independent of the block size. Both directions are tested
-    from one ``(dx, dy)``; the reverse uses ``(-dx, -dy)``, which IEEE
-    subtraction makes exact.
+    ranges of key positions: ``pos + 1 .. stop[key + 1]``, the rest of its
+    cell and the cell above, and ``stop[key + stride - 2] .. stop[key +
+    stride + 1]``, the three cells of the next column, where ``stop[k]``
+    is the number of keys ``<= k``. While ``stride**2 <= 8 * N +
+    _TABLE_SLACK``, ``stop`` is one table ``cumsum(bincount(keys))``;
+    points of ``[0, 1]^2`` have ``stride + 1 <= key <= stride**2 - 2 *
+    stride - 3``, so every read stays inside it. Sparser grids, where a
+    table costs more memory than a search for little speed, search each
+    block's bounds among the keys from its first position to its last
+    stop. In the model ``stride**2 / N`` is about ``alpha (1 - q) / (2
+    mu)``, so the table serves mean degrees ``mu >= alpha (1 - q) / 16``
+    and, through the slack, sparser grids of small ``N``. Apexes are taken
+    in blocks of ``_PAIR_CHUNK`` key positions, so temporaries stay
+    O(block); the final sort makes the output independent of the block
+    size. Both directions are tested from one ``(dx, dy)``; the reverse
+    uses ``(-dx, -dy)``, which IEEE subtraction makes exact.
     """
-    keys, order, n = idx._keys, idx._order, idx.count
+    keys, order, n, stride = idx._keys, idx._order, idx.count, idx._stride
     theta = np.asarray(orientations, dtype=float)
     if len(theta) != n:
         raise ValueError(f"{len(theta)} orientations for {n} indexed points")
@@ -371,30 +365,34 @@ def ordered_pairs_within(
     # Coordinates in key order: partner reads stay within neighbouring
     # cells instead of gathering from all of the points.
     sx, sy = np.take(idx.points, order, axis=0).T
-    # Distinct cells: the cell number of each key position, the key of
-    # each cell, and ``bound[c] .. bound[c + 1]``, the positions of cell c.
-    new = np.ones(n, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    cell = np.cumsum(new) - 1
-    head = np.flatnonzero(new)
-    ukey = keys[head]
-    bound = np.append(head, n)
-    above = np.zeros(head.size, dtype=bool)
-    above[:-1] = ukey[1:] == ukey[:-1] + 1
-    stop_same = bound[np.arange(head.size) + 1 + above]
-    start_next, stop_next = _next_column_bounds(ukey, bound, idx._stride)
+    table = None
+    if stride * stride <= 8 * n + _TABLE_SLACK:
+        table = np.bincount(keys, minlength=stride * stride)
+        np.cumsum(table, out=table)
+    # Per apex: the stops of the cell above and of the next column, its start.
+    offset = np.array([[1], [stride + 1], [stride - 2]])
     r2 = idx.radius * idx.radius
     out = [np.empty(0, dtype=np.int64)]
     for lo in range(0, n, _PAIR_CHUNK):
-        apex = np.arange(lo, min(lo + _PAIR_CHUNK, n), dtype=np.int64)
-        c = cell[lo : lo + apex.size]
+        key = keys[lo : lo + _PAIR_CHUNK]
+        m = key.size
+        if table is None:
+            # Every bound lies between ``lo`` and the last apex's last stop.
+            hi = np.searchsorted(keys, key[-1] + stride + 1, side="right")
+            bounds = np.searchsorted(keys[lo:hi], key + offset, side="right") + lo
+        else:
+            bounds = table[key + offset]
         # Same-column ranges first, then next-column ranges.
-        first = np.concatenate((apex + 1, start_next[c]))
-        counts = np.concatenate((stop_same[c], stop_next[c])) - first
-        split = int(counts[: apex.size].sum())
+        first = np.concatenate((np.arange(lo + 1, lo + m + 1), bounds[2]))
+        counts = bounds[:2].ravel() - first
+        split = int(counts[:m].sum())
         excl = np.cumsum(counts) - counts
-        a = np.repeat(np.concatenate((apex, apex)), counts)
-        b = np.arange(a.size, dtype=np.int64) + np.repeat(first - excl, counts)
+        # One repeat of the range ids: ``b`` walks each range from its
+        # first position, and range ``k`` belongs to apex ``lo + k mod m``.
+        a = np.repeat(np.arange(2 * m), counts)
+        b = np.arange(a.size) + (first - excl)[a]
+        a[split:] -= m
+        a += lo
         dx = sx[b] - sx[a]
         dy = sy[b] - sy[a]
         d2 = dx * dx + dy * dy
@@ -406,5 +404,7 @@ def ordered_pairs_within(
         # a -> b lies in block ``col + 1`` and b -> a in block ``1 - col``.
         out.append((((col + 1) * n + order[a]) * n + b)[fwd])
         out.append((((1 - col) * n + order[b]) * n + a)[rev])
+    # Free the key-order copies and the table before the final sort, the peak.
+    del sx, sy, st, table
     block_i, pos_j = np.divmod(np.sort(np.concatenate(out)), n)
     return block_i % n, order[pos_j]

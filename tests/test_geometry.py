@@ -486,6 +486,24 @@ class TestGridIndex:
         with pytest.raises(ValueError):
             build_index(np.empty((0, 2)), 0.0)
 
+    def test_rejects_radius_whose_keys_overflow(self):
+        # stride**2 is about 1e20 here, beyond int64.
+        pts = np.random.default_rng(31).random((20, 2))
+        with pytest.raises(ValueError, match="overflow"):
+            build_index(pts, 1e-10)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-12, 1.0 + 1e-12])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_rejects_points_outside_square(self, bad, axis):
+        pts = np.array([[0.5, 0.5], [0.5, 0.5], [0.52, 0.5]])
+        pts[1, axis] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]\^2"):
+            build_index(pts, 0.1)
+
+    def test_accepts_square_edges(self):
+        pts = np.array([[1.0, -0.0], [-0.0, 1.0], [1.0, 1.0], [0.98, 1.0]])
+        assert _index_pairs(pts, 0.05) == {(2, 3), (3, 2)} == _scan_pairs(pts, 0.05)
+
     def test_isolated_point(self):
         pts = np.array([[0.5, 0.5], [0.9, 0.9]])
         got = _index_pairs(pts, 0.05)
@@ -574,24 +592,35 @@ class TestGridIndex:
     @pytest.mark.parametrize("alpha", [None, 2.0])
     def test_last_columns_match_oracles(self, alpha):
         # Every occupied cell lies in the grid's last columns and top rows,
-        # so the scan for the next column's cells runs past the last
-        # distinct key into the sentinel. ``None`` is the full disk, checked
-        # against the distance scan.
+        # and a point sits at (1, 1), the largest key a point of the square
+        # can have, so the next-column bound reads the table's last entry
+        # that any point reaches. ``None`` is the full disk, checked against
+        # the distance scan. The radii make ``1 / r`` an integer or one ulp
+        # off one.
         rng = np.random.default_rng(17)
-        corner = [(x, y) for x in (0.85, 0.9, 0.95, 0.999, 1.0) for y in (0.8, 0.9, 0.95, 1.0)]
-        pts = np.concatenate((np.array(corner), 0.8 + 0.2 * rng.random((40, 2))))
-        theta = rng.random(len(pts)) * TWO_PI
-        idx = build_index(pts, 0.1)
-        gi, gj = ordered_pairs_within(idx, theta, alpha or TWO_PI)
-        got = list(zip(gi.tolist(), gj.tolist()))
-        assert len(got) == len(set(got))
-        want = _scan_pairs(pts, 0.1) if alpha is None else _apex_scan(pts, theta, alpha, 0.1)
-        assert set(got) == want
-        column = np.floor(pts[:, 0] / 0.1).astype(np.int64)
-        key_pos = np.empty(idx.count, dtype=np.int64)
-        key_pos[idx._order] = np.arange(idx.count)
-        sort_key = list(zip((column[gj] - column[gi]).tolist(), gi.tolist(), key_pos[gj].tolist()))
-        assert sort_key == sorted(sort_key)
+        radii = [0.05, 0.1, 0.125, 0.25, 1 / 3]
+        radii += [float(np.nextafter(0.25, 0.0)), float(np.nextafter(0.25, 1.0))]
+        for radius in radii:
+            near = [1.0 - k * radius for k in (2.0, 1.5, 1.0, 0.5)]
+            near += [float(np.nextafter(1.0 - radius, 1.0)), 0.999, float(np.nextafter(1.0, 0.0)), 1.0]
+            corner = [(x, y) for x in near for y in near]
+            pts = np.concatenate((np.array(corner), 1.0 - 2.0 * radius * rng.random((40, 2))))
+            theta = rng.random(len(pts)) * TWO_PI
+            idx = build_index(pts, radius)
+            assert idx._keys[-1] == idx._stride**2 - 2 * idx._stride - 3
+            gi, gj = ordered_pairs_within(idx, theta, alpha or TWO_PI)
+            got = list(zip(gi.tolist(), gj.tolist()))
+            assert len(got) == len(set(got))
+            if alpha is None:
+                want = _scan_pairs(pts, radius)
+            else:
+                want = _apex_scan(pts, theta, alpha, radius)
+            assert set(got) == want
+            column = np.floor(pts[:, 0] / radius).astype(np.int64)
+            key_pos = np.empty(idx.count, dtype=np.int64)
+            key_pos[idx._order] = np.arange(idx.count)
+            sort_key = list(zip((column[gj] - column[gi]).tolist(), gi.tolist(), key_pos[gj].tolist()))
+            assert sort_key == sorted(sort_key)
 
     def test_rejects_orientation_count_mismatch(self):
         pts = np.array([[0.5, 0.5], [0.52, 0.5]])
@@ -616,3 +645,56 @@ class TestGridIndex:
         key_pos[idx._order] = np.arange(idx.count)
         sort_key = list(zip((column[gj] - column[gi]).tolist(), gi.tolist(), key_pos[gj].tolist()))
         assert sort_key == sorted(set(sort_key))
+
+
+class TestSearchsortedBounds:
+    """Grids with far more cells than points read their range bounds by
+    ``searchsorted`` instead of a table of ``stride**2`` entries."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 64])
+    def test_sparse_grid_matches_oracles(self, monkeypatch, chunk):
+        if chunk:
+            monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        rng = np.random.default_rng(23)
+        pts = rng.random((3000, 2))
+        # Partners within r: close copies of some points, and exact duplicates.
+        pts[2900:2950] = np.clip(pts[:50] + 7e-4 * (rng.random((50, 2)) - 0.5), 0.0, 1.0)
+        pts[2950:] = pts[50:100]
+        theta = rng.random(len(pts)) * TWO_PI
+        idx = build_index(pts, 1e-3)
+        assert idx._stride**2 > 8 * idx.count + geometry._TABLE_SLACK
+        full = _index_pairs(pts, 1e-3)
+        assert len(full) >= 60 and full == _scan_pairs(pts, 1e-3)
+        got = ordered_pairs_within(idx, theta, 2.0)
+        assert set(zip(got[0].tolist(), got[1].tolist())) == _apex_scan(pts, theta, 2.0, 1e-3)
+        monkeypatch.setattr(geometry, "_TABLE_SLACK", 2**21)
+        table = ordered_pairs_within(idx, theta, 2.0)
+        assert all(np.array_equal(t, g) and t.dtype == g.dtype for t, g in zip(table, got))
+
+    def test_cells_too_many_for_a_table(self):
+        # stride**2 is about 1e14 here: no table of that size could be built.
+        rng = np.random.default_rng(29)
+        pts = rng.random((50, 2))
+        pts[40:45] = pts[:5] + 5e-8
+        pts[45:] = pts[5:10]
+        idx = build_index(pts, 1e-7)
+        assert idx._stride**2 > 10**13
+        got = _index_pairs(pts, 1e-7)
+        assert {(i, i + 40) for i in range(5)} <= got
+        assert got == _scan_pairs(pts, 1e-7)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_cell_edge_points().flatmap(_with_orientations), _ALPHA)
+    def test_both_paths_give_the_same_arcs(self, case, alpha):
+        (pts, radius), theta = case
+        idx = build_index(pts, radius)
+        theta = np.array(theta, dtype=float)
+        got = []
+        # searchsorted in blocks of 8192 and of 2 key positions, then the table
+        for slack, chunk in ((-(2**40), 8192), (-(2**40), 2), (2**40, 8192)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(geometry, "_TABLE_SLACK", slack)
+                patch.setattr(geometry, "_PAIR_CHUNK", chunk)
+                got.append(ordered_pairs_within(idx, theta, alpha))
+        assert all(np.array_equal(s, t) and s.dtype == t.dtype for s, t in zip(got[0], got[2]))
+        assert all(np.array_equal(s, t) and s.dtype == t.dtype for s, t in zip(got[1], got[2]))
