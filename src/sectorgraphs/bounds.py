@@ -45,7 +45,7 @@ from .geometry import (
     intersection_areas,
     points_in_sector,
 )
-from .model import ModelParams
+from .model import SIDES, ModelParams, check_side
 from .randomness import derive_key, substream
 
 _DOM_EW = 0xB01
@@ -53,9 +53,6 @@ _DOM_TV = 0xB02
 _DOM_BOOT = 0xB04
 _MAX_TERMS = 10_000
 BOOTSTRAP_REPLICATES = 200
-
-_SIDES = ("out", "in")
-
 
 class TruncationBudgetExceeded(RuntimeError):
     """The joint-count summation cannot reach the tail cap within the term limit."""
@@ -77,20 +74,23 @@ class TVBoundReport:
     bound_se: float
 
 
-def _check_side(side: str) -> None:
-    if side not in _SIDES:
-        raise ValueError("side must be 'out' or 'in'")
-
-
 def _check_samples(**counts: int) -> None:
     for name, count in counts.items():
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
 
 
+def _mean_se(scale: float, samples: int, rows, vals: np.ndarray) -> tuple[float, float]:
+    """``scale`` times the mean of ``samples`` draws and its standard error,
+    where the draws at ``rows`` take ``vals`` and every other draw is 0."""
+    full = np.zeros(samples)
+    full[rows] = vals
+    return scale * float(np.mean(full)), scale * float(np.std(full) / math.sqrt(samples))
+
+
 def _seed_for(params: ModelParams, domain: int, side: str, degree_set: DegreeSet) -> int:
     tag = zlib.crc32(degree_set.descriptor().encode())
-    return derive_key(params.master_seed, domain, _SIDES.index(side), tag)
+    return derive_key(params.master_seed, domain, SIDES.index(side), tag)
 
 
 def expected_count(
@@ -107,7 +107,7 @@ def expected_count(
     average over ``samples`` locations (and orientations) is Monte Carlo,
     seeded from ``params.master_seed``, the side and the degree set.
     """
-    _check_side(side)
+    check_side(side)
     _check_samples(samples=samples)
     rng = substream(_seed_for(params, _DOM_EW, side, degree_set))
     lam = float(params.n)
@@ -119,8 +119,7 @@ def expected_count(
         angle, elev, lam_eff = TWO_PI, np.zeros(samples), thin * (params.alpha / TWO_PI)
     areas = clipped_sector_areas(x, elev, angle, params.r)
     vals = degree_set.poisson_prob(lam_eff * areas)
-    pref = (1.0 - params.v) * lam
-    return pref * float(np.mean(vals)), pref * float(np.std(vals) / math.sqrt(samples))
+    return _mean_se((1.0 - params.v) * lam, samples, slice(None), vals)
 
 
 def _terms_needed(m_max: float, cap: float) -> int:
@@ -222,14 +221,17 @@ def tv_bound(
 
     The second location is drawn by rejection from the bounding square of
     the radius-``3r`` ball around the first, with the square's measure
-    ``(6r)^2`` folded into the integrand weight. The reported ``bound`` is
-    additionally capped at 1 (a total-variation distance never exceeds 1);
-    ``bound_raw`` keeps the uncapped value. The outer samples are seeded
-    from ``params.master_seed``, the side and the degree set. The region
-    areas are exact, so ``area_samples`` is ignored; it stays accepted for
+    ``(6r)^2`` folded into the integrand weight. A rejected draw adds
+    exactly 0 to both integrals, so only the accepted pairs are evaluated;
+    both locations of a pair share one area call and one Poisson call, as
+    rows are independent. The reported ``bound`` is additionally capped at
+    1 (a total-variation distance never exceeds 1); ``bound_raw`` keeps the
+    uncapped value. The outer samples are seeded from
+    ``params.master_seed``, the side and the degree set. The region areas
+    are exact, so ``area_samples`` is ignored; it stays accepted for
     existing callers.
     """
-    _check_side(side)
+    check_side(side)
     _check_samples(outer_samples=outer_samples, ew_samples=ew_samples)
     rng = substream(_seed_for(params, _DOM_TV, side, degree_set))
     lam = float(params.n)
@@ -244,56 +246,40 @@ def tv_bound(
     x2 = x1 + 6.0 * r * (rng.random((outer_samples, 2)) - 0.5)
     y2 = TWO_PI * rng.random(outer_samples)
     d2 = np.sum((x2 - x1) ** 2, axis=1)
-    accept = (d2 <= (3.0 * r) ** 2) & in_unit_square(x2)
-    acc = np.nonzero(accept)[0]
+    acc = np.nonzero((d2 <= (3.0 * r) ** 2) & in_unit_square(x2))[0]
+    x1, y1, x2, y2 = x1[acc], y1[acc], x2[acc], y2[acc]
 
     # Regions counted at each location: the sectors on the out side, the
     # full disks (orientation-thinned through ``lam_eff``) on the in side.
     if side == "out":
         angle, e1, e2 = params.alpha, y1, y2
     else:
-        angle, e1, e2 = TWO_PI, np.zeros(outer_samples), np.zeros(outer_samples)
+        angle, e1, e2 = TWO_PI, np.zeros(acc.size), np.zeros(acc.size)
+    areas = clipped_sector_areas(np.concatenate((x1, x2)), np.concatenate((e1, e2)), angle, r)
+    areas1, areas2 = np.split(areas, 2)
+    prob1, prob2 = np.split(degree_set.poisson_prob(lam_eff * areas), 2)
+    i1, i1_se = _mean_se(pref, outer_samples, acc, weight * prob1 * prob2)
 
-    # Marginal count probabilities for I1.
-    areas1 = clipped_sector_areas(x1, e1, angle, r)
-    areas2 = clipped_sector_areas(x2[acc], e2[acc], angle, r)
-    prob1 = degree_set.poisson_prob(lam_eff * areas1)
-    prob2 = np.zeros(outer_samples)
-    prob2[acc] = degree_set.poisson_prob(lam_eff * areas2)
-    i1_vals = weight * accept * prob1 * prob2
-    i1 = pref * float(np.mean(i1_vals))
-    i1_se = pref * float(np.std(i1_vals) / math.sqrt(outer_samples))
-
-    # Joint probabilities for I2 on the accepted pairs.
-    truncation = 0.0
-    joint = np.zeros(outer_samples)
-    if acc.size:
-        c_area, o1_area, o2_area = decompose_regions(
-            (x1[acc], e1[acc], angle), (x2[acc], e2[acc], angle), r, areas1[acc], areas2
-        )
-        in_s1 = points_in_sector(x1[acc], y1[acc], params.alpha, r, x2[acc])
-        in_s2 = points_in_sector(x2[acc], y2[acc], params.alpha, r, x1[acc])
-        if side == "out":
-            # Count 1 is the out-degree at x1: shifted when x2 sits in x1's sector.
-            p_b1 = in_s1 * (1.0 - params.q)
-            p_b2 = in_s2 * (1.0 - params.q)
-        else:
-            # Count 1 is the in-degree at x1: shifted when x2's sector covers x1.
-            p_b1 = in_s2 * (1.0 - params.q)
-            p_b2 = in_s1 * (1.0 - params.q)
-        probs, truncation = joint_count_prob(
-            lam_eff * c_area,
-            lam_eff * o1_area,
-            lam_eff * o2_area,
-            p_b1,
-            p_b2,
-            degree_set,
-            trunc_cap,
-        )
-        joint[acc] = probs
-    i2_vals = weight * joint
-    i2 = pref * float(np.mean(i2_vals))
-    i2_se = pref * float(np.std(i2_vals) / math.sqrt(outer_samples))
+    # Joint probabilities for I2. Count 1 is the out-degree at x1, shifted
+    # when x2 sits in x1's sector; on the in side, the in-degree at x1,
+    # shifted when x2's sector covers x1.
+    c_area, o1_area, o2_area = decompose_regions(
+        (x1, e1, angle), (x2, e2, angle), r, areas1, areas2
+    )
+    in_s1 = points_in_sector(x1, y1, params.alpha, r, x2)
+    in_s2 = points_in_sector(x2, y2, params.alpha, r, x1)
+    if side == "in":
+        in_s1, in_s2 = in_s2, in_s1
+    joint, truncation = joint_count_prob(
+        lam_eff * c_area,
+        lam_eff * o1_area,
+        lam_eff * o2_area,
+        in_s1 * (1.0 - params.q),
+        in_s2 * (1.0 - params.q),
+        degree_set,
+        trunc_cap,
+    )
+    i2, i2_se = _mean_se(pref, outer_samples, acc, weight * joint)
 
     ew, ew_se = expected_count(params, degree_set, side, samples=ew_samples)
     factor = min(1.0, 1.0 / ew) if ew > 0.0 else 1.0
@@ -334,13 +320,18 @@ def empirical_tv(samples, mean: float) -> float:
     return 0.5 * (float(np.sum(np.abs(emp - pois))) + tail)
 
 
+def bootstrap_se(statistic, samples: tuple[np.ndarray, ...], rng: np.random.Generator) -> float:
+    """Standard deviation of ``statistic`` over ``BOOTSTRAP_REPLICATES``
+    bootstrap replicates. Each replicate resamples every array of
+    ``samples`` with replacement, in order, and passes them on."""
+    reps = np.empty(BOOTSTRAP_REPLICATES)
+    for b in range(BOOTSTRAP_REPLICATES):
+        reps[b] = statistic(*(s[rng.integers(0, s.size, s.size)] for s in samples))
+    return float(np.std(reps))
+
+
 def empirical_tv_bootstrap_se(samples, mean: float, seed: int = 0) -> float:
     """Bootstrap standard error of ``empirical_tv`` over
     ``BOOTSTRAP_REPLICATES`` resamples of the data."""
     values = np.asarray(samples, dtype=np.int64)
-    rng = substream(seed, _DOM_BOOT)
-    tvs = np.empty(BOOTSTRAP_REPLICATES)
-    for b in range(BOOTSTRAP_REPLICATES):
-        resample = values[rng.integers(0, values.size, values.size)]
-        tvs[b] = empirical_tv(resample, mean)
-    return float(np.std(tvs))
+    return bootstrap_se(lambda v: empirical_tv(v, mean), (values,), substream(seed, _DOM_BOOT))

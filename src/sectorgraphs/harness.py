@@ -14,10 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import BOOTSTRAP_REPLICATES
+from .bounds import bootstrap_se
 from .degree_sets import DegreeSet
 from .model import (
     ModelParams,
+    check_side,
     degree_summary,
     interior_out_degree_stats,
     sample_graph,
@@ -151,6 +152,8 @@ def run_trials(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     options = options or TrialOptions()
+    for _, side in options.w_sets:
+        check_side(side)
     if parallelism <= 1:
         return [run_one_trial(params, t, options) for t in range(trials)]
     # Imported on use: it loads ``multiprocessing``, ``subprocess`` and
@@ -161,9 +164,7 @@ def run_trials(
     jobs = ((params, t, options) for t in range(trials))
     chunk = max(1, trials // (parallelism * 8))
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        records = list(pool.map(_worker, jobs, chunksize=chunk))
-    records.sort(key=lambda rec: rec.trial_index)
-    return records
+        return list(pool.map(_worker, jobs, chunksize=chunk))
 
 
 def clopper_pearson(successes: int, trials: int, level: float = CI_LEVEL) -> tuple[float, float]:
@@ -238,6 +239,8 @@ def compare(
     with Clopper-Pearson intervals at level ``CI_LEVEL``."""
     if not records:
         raise ValueError("records must be nonempty")
+    for side in sides:
+        check_side(side)
     out = {side: _compare_side(records, prediction, slack, side) for side in sides}
     return ExperimentReport(
         params=params,
@@ -330,8 +333,8 @@ def mode_agreement(
     seed: int,
 ) -> ModeAgreementReport:
     """Distance between the max-degree laws of binomial- and Poisson-mode
-    records of equal count, with a bootstrap error bar over
-    ``BOOTSTRAP_REPLICATES`` resamples seeded by ``seed``."""
+    records of equal count, with a ``bootstrap_se`` error bar seeded by
+    ``seed``."""
     trials = len(records_binomial)
     if trials < 1 or len(records_poisson) != trials:
         raise ValueError("need two nonempty record lists of equal length")
@@ -340,13 +343,7 @@ def mode_agreement(
     for side in ("out", "in"):
         vals_b = np.array([r.max_out if side == "out" else r.max_in for r in records_binomial])
         vals_p = np.array([r.max_out if side == "out" else r.max_in for r in records_poisson])
-        dist = half_l1(vals_b, vals_p)
-        reps = np.empty(BOOTSTRAP_REPLICATES)
-        for i in range(BOOTSTRAP_REPLICATES):
-            rb = vals_b[rng.integers(0, trials, trials)]
-            rp = vals_p[rng.integers(0, trials, trials)]
-            reps[i] = half_l1(rb, rp)
-        report[side] = (dist, float(np.std(reps)))
+        report[side] = (half_l1(vals_b, vals_p), bootstrap_se(half_l1, (vals_b, vals_p), rng))
     return ModeAgreementReport(trials, *report["out"], *report["in"])
 
 

@@ -26,6 +26,13 @@ from .geometry import TWO_PI, angle_in_arc, build_index, ordered_pairs_within
 from .randomness import TrialStream
 
 MODES = ("binomial", "poisson")
+SIDES = ("out", "in")
+
+
+def check_side(side: str) -> None:
+    """Raise ``ValueError`` unless ``side`` names a degree side."""
+    if side not in SIDES:
+        raise ValueError("side must be 'out' or 'in'")
 
 
 @dataclass(frozen=True)
@@ -151,8 +158,7 @@ def degree_summary(g: FaultySectorGraph) -> DegreeSummary:
 
 def degree_count(g: FaultySectorGraph, degree_set: DegreeSet, side: str) -> int:
     """Number of alive vertices whose out- or in-degree lies in the set."""
-    if side not in ("out", "in"):
-        raise ValueError("side must be 'out' or 'in'")
+    check_side(side)
     summary = degree_summary(g)
     degrees = summary.out_degrees if side == "out" else summary.in_degrees
     return degree_set.count_in(degrees)
@@ -176,9 +182,8 @@ def interior_out_degree_stats(g: FaultySectorGraph) -> tuple[int, int]:
 
 def write_edge_list(g: FaultySectorGraph, path) -> None:
     """Text dump: header ``N alive_count``, then one arc ``i j`` per line."""
-    summary = degree_summary(g)
     with open(path, "w") as fh:
-        fh.write(f"{g.realized_count} {summary.alive_count}\n")
+        fh.write(f"{g.realized_count} {np.count_nonzero(g.alive)}\n")
         for a, b in g.arcs:
             fh.write(f"{int(a)} {int(b)}\n")
 

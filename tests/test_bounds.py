@@ -11,6 +11,7 @@ from sectorgraphs.bounds import (
     TruncationBudgetExceeded,
     decompose_regions,
     empirical_tv,
+    empirical_tv_bootstrap_se,
     expected_count,
     joint_count_prob,
     tv_bound,
@@ -368,6 +369,14 @@ class TestTvBound:
         want = tv_bound(small_config, ds, "in", outer_samples=200, ew_samples=200)
         assert tv_bound(small_config, ds, "in", 200, 1, 200) == want
 
+    @pytest.mark.parametrize("side", ["total", "both"])
+    def test_unknown_side_rejected(self, small_config, side):
+        ds = DegreeSet.upper_tail(5)
+        with pytest.raises(ValueError, match="side"):
+            tv_bound(small_config, ds, side, outer_samples=10, ew_samples=10)
+        with pytest.raises(ValueError, match="side"):
+            expected_count(small_config, ds, side, samples=10)
+
     @pytest.mark.parametrize("name", ["outer_samples", "ew_samples"])
     def test_zero_samples_rejected(self, small_config, name):
         with pytest.raises(ValueError, match=name):
@@ -401,6 +410,10 @@ class TestEmpiricalTv:
         rng = np.random.default_rng(2718)
         draws = rng.poisson(1.3, 100_000)
         assert empirical_tv(draws, 1.3) <= 0.02
+
+    def test_bootstrap_se_is_pinned(self):
+        got = empirical_tv_bootstrap_se([0, 1, 1, 2, 3, 0, 1, 4], 1.2, seed=5)
+        assert got.hex() == "0x1.da9e1191bc043p-4"
 
     def test_range_and_validation(self):
         with pytest.raises(ValueError):
@@ -445,3 +458,30 @@ def test_tv_bound_is_pinned(side):
         if isinstance(getattr(rep, f.name), float)
     }
     assert got == _PINNED_REPORTS[side]
+
+
+def _tiny_params(seed):
+    # r = 0.49 leaves most of the 3r ball outside the square, so one outer
+    # draw is often rejected: at seed 0 on both sides, and not on the in
+    # side at seed 1.
+    params = ModelParams(n=50, alpha=math.pi, r=0.49, v=0.1, q=0.2, mode="poisson", master_seed=seed)
+    return params, DegreeSet.upper_tail(predict(params).k)
+
+
+@pytest.mark.parametrize("side", ["out", "in"])
+def test_tv_bound_without_accepted_pair(side):
+    params, ds = _tiny_params(0)
+    rep = tv_bound(params, ds, side, outer_samples=1, ew_samples=50)
+    assert rep.i1 == rep.i2 == rep.truncation_error == rep.bound == 0.0
+    assert math.copysign(1.0, rep.i1) == math.copysign(1.0, rep.i2) == 1.0
+    assert all(math.isfinite(se) for se in (rep.ew_se, rep.i1_se, rep.i2_se, rep.bound_se))
+
+
+def test_tv_bound_with_one_accepted_pair_is_pinned():
+    params, ds = _tiny_params(1)
+    rep = tv_bound(params, ds, "in", outer_samples=1, ew_samples=50)
+    assert ds.descriptor() == "tail:22"
+    assert (rep.i1.hex(), rep.i2.hex(), rep.truncation_error.hex()) == (
+        "0x1.b6aad62caa584p-14", "0x1.14f329a8293c1p-8", "0x1.c800000000000p-47",
+    )
+    assert rep.i1_se == rep.i2_se == 0.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sectorgraphs import harness
 from sectorgraphs.bounds import expected_count
 from sectorgraphs.degree_sets import DegreeSet
 from sectorgraphs.harness import (
@@ -86,6 +87,14 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(_params(), 0)
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("side", ["total", "both"])
+    def test_rejects_unknown_w_side(self, monkeypatch, side, parallelism):
+        monkeypatch.setattr(harness, "run_one_trial", None)  # no trial may start
+        options = TrialOptions(w_sets=((DegreeSet.upper_tail(2), side),))
+        with pytest.raises(ValueError, match="side"):
+            run_trials(_params(), 4, parallelism=parallelism, options=options)
+
 
 class TestCompare:
     def test_all_mass_at_k(self):
@@ -130,6 +139,12 @@ class TestCompare:
         pred = FocusingPrediction(mu=1.0, j=1, k=1, xi_k=0.5, a=1.0, p_km1=math.exp(-1), p_k=1 - math.exp(-1))
         with pytest.raises(ValueError):
             compare([], pred, slack=0.1)
+
+    @pytest.mark.parametrize("side", ["total", "both"])
+    def test_rejects_unknown_side(self, side):
+        pred = FocusingPrediction(mu=1.0, j=1, k=1, xi_k=0.5, a=1.0, p_km1=math.exp(-1), p_k=1 - math.exp(-1))
+        with pytest.raises(ValueError, match="side"):
+            compare(_fake_records([0, 1]), pred, slack=0.1, sides=("out", side))
 
 
 class TestClopperPearson:
@@ -215,6 +230,25 @@ class TestModeAgreement:
             mode_agreement(records, records[:2], seed=1)
         with pytest.raises(ValueError):
             mode_agreement([], [], seed=1)
+
+    def test_bootstrap_is_pinned(self):
+        def records(pairs):
+            return [
+                TrialRecord(trial_index=t, seed=0, realized_count=0, alive_count=0,
+                            max_out=o, max_in=i, empty=False)
+                for t, (o, i) in enumerate(pairs)
+            ]
+
+        report = mode_agreement(
+            records([(1, 2), (2, 2), (2, 3), (3, 1), (2, 2), (4, 0)]),
+            records([(2, 1), (2, 2), (3, 3), (1, 2), (3, 4), (2, 2)]),
+            seed=3,
+        )
+        got = [report.distance_out, report.bootstrap_se_out, report.distance_in, report.bootstrap_se_in]
+        assert [x.hex() for x in got] == [
+            "0x1.5555555555555p-3", "0x1.6c1ed55b85313p-3",
+            "0x1.5555555555555p-3", "0x1.4c55f7d7bcd8bp-3",
+        ]
 
     def test_half_l1_simple(self):
         assert half_l1(np.array([0, 0, 1, 1]), np.array([1, 0, 1, 0])) == 0.0

@@ -231,8 +231,9 @@ class TestDegrees:
         assert degree_count(g, DegreeSet.finite(()), "out") == 0
         assert degree_count(g, DegreeSet.upper_tail(s.max_out), "out") >= 1
         assert degree_count(g, DegreeSet.upper_tail(s.max_in), "in") >= 1
-        with pytest.raises(ValueError):
-            degree_count(g, DegreeSet.upper_tail(0), "total")
+        for side in ("total", "both"):
+            with pytest.raises(ValueError, match="side"):
+                degree_count(g, DegreeSet.upper_tail(0), side)
 
 
 _CHECK_UNDER_O = """
