@@ -189,7 +189,9 @@ def cmd_verify(cfg: RunConfig, selftest: bool = False, override_k: int | None = 
 
 def cmd_bound(cfg: RunConfig, with_empirical: bool = False) -> int:
     validate_config(cfg)
-    params = resolve_params(cfg, "poisson")
+    # The bound is a Poisson-mode bound; ``config.txt`` records that mode.
+    cfg = dataclasses.replace(cfg, mode="poisson")
+    params = resolve_params(cfg, cfg.mode)
     descriptors = cfg.a_sets or (f"tail:{predict(params).k}",)
     pairs = [(DegreeSet.parse(d), side) for d in descriptors for side in cfg.sides()]
     records = None

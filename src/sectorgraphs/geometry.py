@@ -20,8 +20,8 @@ TWO_PI = 2.0 * math.pi
 # Apexes per block of ``ordered_pairs_within``; the output does not
 # depend on it.
 _PAIR_CHUNK = 8192
-# ``ordered_pairs_within`` reads its range bounds from a table of
-# ``stride**2`` cells only while that is at most ``8 * N`` plus this.
+# ``build_index`` keeps cells of side ``radius`` only while their
+# ``stride**2`` keys are at most ``2 * N`` plus this.
 _TABLE_SLACK = 2**16
 
 
@@ -275,11 +275,12 @@ class GridIndex:
     """Points sorted by grid cell, for sector arcs by key ranges.
 
     ``points`` is the ``(N, 2)`` array the index was built from (not a
-    copy) and ``radius`` the side of its square cells. Cell ``(cx, cy)``
-    has the int64 key ``(cx + 1) * stride + cy + 1``, so the cell above is
-    ``key + 1`` and the next column starts at ``key + stride``. ``_keys``
-    holds every point's key in ascending order and ``_order`` the point
-    index at each key position; points of one cell keep their input order.
+    copy), ``radius`` the arc distance and ``_cell`` the side of the
+    square cells, ``radius`` or more. Cell ``(cx, cy)`` has the int64 key
+    ``(cx + 1) * stride + cy + 1``, so the cell above is ``key + 1`` and
+    the next column starts at ``key + stride``. ``_keys`` holds every
+    point's key in ascending order and ``_order`` the point index at each
+    key position; points of one cell keep their input order.
     """
 
     points: np.ndarray = field(repr=False)
@@ -288,6 +289,7 @@ class GridIndex:
     _keys: np.ndarray = field(repr=False)
     _order: np.ndarray = field(repr=False)
     _stride: int = field(repr=False)
+    _cell: float = field(repr=False)
 
 
 def _cell_keys(points: np.ndarray, cell_size: float, stride: int) -> np.ndarray:
@@ -296,30 +298,33 @@ def _cell_keys(points: np.ndarray, cell_size: float, stride: int) -> np.ndarray:
 
 
 def build_index(points: np.ndarray, radius: float) -> GridIndex:
-    """Index an ``(N, 2)`` array of points of ``[0, 1]^2`` on a grid of
-    cells of side ``radius`` (above about 3.3e-10, so int64 keys fit).
+    """Index an ``(N, 2)`` array of points of ``[0, 1]^2``, ``N < 2**30``,
+    on a grid of ``stride**2 <= 2 * N + _TABLE_SLACK`` keys.
 
-    Keys are below ``stride**2 < 2**63``, so when ``stride**2 * N < 2**63``
-    one sort of the distinct int64 values ``key * N + i`` gives the keys
-    and their stable order; otherwise a stable ``argsort`` gives the same.
+    The cells have side ``radius`` while ``stride = floor(1 / radius) + 4``
+    fits that budget; otherwise the finest grid that fits, of ``stride =
+    isqrt(2 * N + _TABLE_SLACK)`` and side ``1 / (stride - 4) > radius``.
+    One sort of the distinct int64 values ``key * N + i`` gives the keys
+    and their stable order.
     """
     if not radius > 0.0:
         raise ValueError("radius must be positive")
     xy = np.asarray(points, dtype=float)
     n = xy.shape[0]
+    if n >= 2**30:
+        raise ValueError("too many points: int64 sort keys need N < 2**30")
     # NaN fails both comparisons.
     if n and not (xy.min() >= 0.0 and xy.max() <= 1.0):
         raise ValueError("points must lie in [0, 1]^2")
-    stride = int(math.floor(1.0 / radius)) + 4
-    if stride * stride >= 2**63:
-        raise ValueError("radius too small: cell keys would overflow int64")
-    keys = _cell_keys(xy, radius, stride)
-    if stride * stride * n < 2**63:
-        keys, order = np.divmod(np.sort(keys * n + np.arange(n, dtype=np.int64)), n)
+    stride = math.isqrt(2 * n + _TABLE_SLACK)
+    per_side = 1.0 / float(radius)  # inf for the smallest radii
+    if per_side < stride - 3:
+        stride, cell = int(per_side) + 4, radius
     else:
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-    return GridIndex(xy, radius, n, keys, order, stride)
+        cell = 1.0 / (stride - 4)
+    keys = _cell_keys(xy, cell, stride)
+    keys, order = np.divmod(np.sort(keys * n + np.arange(n, dtype=np.int64)), n)
+    return GridIndex(xy, radius, n, keys, order, stride, cell)
 
 
 def ordered_pairs_within(
@@ -336,22 +341,18 @@ def ordered_pairs_within(
     Order: blocks by the column offset of ``j``'s cell from ``i``'s
     (``-1, 0, 1``); within a block, by ``i`` and then by the position of
     ``j`` in the sorted keys. The order is restored by sorting the int64
-    key ``(block * N + i) * N + pos_j``, which requires ``N < 1.7e9``.
+    key ``(block * N + i) * N + pos_j``, which ``N < 2**30`` keeps below
+    ``2**63``.
 
     Each unordered pair is visited once, from its endpoint earlier in key
-    order. The partners of the point at key position ``pos`` are two
-    ranges of key positions: ``pos + 1 .. stop[key + 1]``, the rest of its
-    cell and the cell above, and ``stop[key + stride - 2] .. stop[key +
-    stride + 1]``, the three cells of the next column, where ``stop[k]``
-    is the number of keys ``<= k``. While ``stride**2 <= 8 * N +
-    _TABLE_SLACK``, ``stop`` is one table ``cumsum(bincount(keys))``;
-    points of ``[0, 1]^2`` have ``stride + 1 <= key <= stride**2 - 2 *
-    stride - 3``, so every read stays inside it. Sparser grids, where a
-    table costs more memory than a search for little speed, search each
-    block's bounds among the keys from its first position to its last
-    stop. In the model ``stride**2 / N`` is about ``alpha (1 - q) / (2
-    mu)``, so the table serves mean degrees ``mu >= alpha (1 - q) / 16``
-    and, through the slack, sparser grids of small ``N``. Apexes are taken
+    order. Cells are at least ``radius`` wide, so the partners of the
+    point at key position ``pos`` are two ranges of key positions: ``pos
+    + 1 .. stop[key + 1]``, the rest of its cell and the cell above, and
+    ``stop[key + stride - 2] .. stop[key + stride + 1]``, the three cells
+    of the next column, where ``stop[k]`` is the number of keys ``<= k``.
+    ``stop`` is one table ``cumsum(bincount(keys))`` of ``stride**2``
+    entries; points of ``[0, 1]^2`` have ``stride + 1 <= key <= stride**2
+    - 2 * stride - 3``, so every read stays inside it. Apexes are taken
     in blocks of ``_PAIR_CHUNK`` key positions, so temporaries stay
     O(block); the final sort makes the output independent of the block
     size. Both directions are tested from one ``(dx, dy)``; the reverse
@@ -365,10 +366,8 @@ def ordered_pairs_within(
     # Coordinates in key order: partner reads stay within neighbouring
     # cells instead of gathering from all of the points.
     sx, sy = np.take(idx.points, order, axis=0).T
-    table = None
-    if stride * stride <= 8 * n + _TABLE_SLACK:
-        table = np.bincount(keys, minlength=stride * stride)
-        np.cumsum(table, out=table)
+    table = np.bincount(keys, minlength=stride * stride)
+    np.cumsum(table, out=table)
     # Per apex: the stops of the cell above and of the next column, its start.
     offset = np.array([[1], [stride + 1], [stride - 2]])
     r2 = idx.radius * idx.radius
@@ -376,12 +375,7 @@ def ordered_pairs_within(
     for lo in range(0, n, _PAIR_CHUNK):
         key = keys[lo : lo + _PAIR_CHUNK]
         m = key.size
-        if table is None:
-            # Every bound lies between ``lo`` and the last apex's last stop.
-            hi = np.searchsorted(keys, key[-1] + stride + 1, side="right")
-            bounds = np.searchsorted(keys[lo:hi], key + offset, side="right") + lo
-        else:
-            bounds = table[key + offset]
+        bounds = table[key + offset]
         # Same-column ranges first, then next-column ranges.
         first = np.concatenate((np.arange(lo + 1, lo + m + 1), bounds[2]))
         counts = bounds[:2].ravel() - first

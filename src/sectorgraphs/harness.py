@@ -263,6 +263,8 @@ def verify(
     prediction: FocusingPrediction | None = None,
 ) -> tuple[ExperimentReport, list[TrialRecord]]:
     """Predict, simulate and compare in one step."""
+    for side in sides:
+        check_side(side)
     started = time.perf_counter()
     pred = prediction if prediction is not None else predict(params)
     records = run_trials(params, trials, parallelism)

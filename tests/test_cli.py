@@ -288,6 +288,16 @@ class TestSimulate:
             tmp_path / "replay/trials.csv"
         ).read_bytes()
 
+    def test_radius_below_cell_budget(self, tmp_path, capsys):
+        # Cells of side 1e-12 would need about 1e24 keys; the index
+        # coarsens them instead.
+        rc = run_cli(
+            "simulate", "--n", "50", "--r", "1e-12", "--alpha", "pi",
+            "--trials", "3", "--seed", "8", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        assert len((tmp_path / "trials.csv").read_text().splitlines()) == 4
+
 
 class TestVerify:
     def test_selftest_passes(self, tmp_path, capsys):
@@ -367,6 +377,27 @@ class TestBound:
         assert first == (tmp_path / "replay/report.json").read_bytes()
         rows = json.loads(first)["bounds"]
         assert [row["degree_set"] for row in rows] == ["set:1,2", "tail:3"]
+
+    @pytest.mark.parametrize("mode", [None, "binomial", "poisson"])
+    def test_records_the_mode_it_computed(self, mode, tmp_path, capsys):
+        # The bound is computed in Poisson mode, whatever mode is asked for.
+        flags = ("--mode", mode) if mode else ()
+        rc = run_cli(
+            "bound", "--n", "400", "--alpha", "pi", "--mu-target", "1", *flags,
+            "--side", "out", "--outer-samples", "200", "--ew-samples", "200",
+            "--seed", "3", "--out", str(tmp_path / "first"),
+        )
+        assert rc == 0
+        config = (tmp_path / "first/config.txt").read_text()
+        report = (tmp_path / "first/report.json").read_bytes()
+        assert "mode = poisson" in config.splitlines()
+        assert json.loads(report)["params"]["mode"] == "poisson"
+        rc = run_cli(
+            "bound", "--config", str(tmp_path / "first/config.txt"),
+            "--out", str(tmp_path / "replay"),
+        )
+        assert rc == 0
+        assert (tmp_path / "replay/report.json").read_bytes() == report
 
     @pytest.mark.parametrize("flag", ["--outer-samples", "--ew-samples"])
     def test_zero_samples_exits_1(self, flag, tmp_path, capsys):

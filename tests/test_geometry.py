@@ -37,16 +37,21 @@ def _scan_pairs(pts: np.ndarray, radius: float) -> set[tuple[int, int]]:
 @st.composite
 def _cell_edge_points(draw):
     """``(points, radius)`` with duplicate points and coordinates on exact
-    cell edges (multiples of ``radius``, the cell side, 0.0, 1.0) or one ulp
-    off them."""
+    cell edges (multiples of the cell side, 0.0, 1.0) or one ulp off them.
+    The cell side is ``radius``, or more for the radii below the index's
+    table budget (``1e-3`` and smaller)."""
     radius = draw(
         st.one_of(
-            st.sampled_from([0.05, 0.1, 0.125, 0.2, 0.25, 1 / 3, 0.45]), st.floats(0.01, 0.45)
+            st.sampled_from([0.05, 0.1, 0.125, 0.2, 0.25, 1 / 3, 0.45]),
+            st.floats(0.01, 0.45),
+            st.sampled_from([1e-3, 1e-7, 5e-324]),
         )
     )
+    # At most 14 points: the cell side of an empty index is theirs.
+    cell = build_index(np.empty((0, 2)), radius)._cell
     edge = st.builds(
-        lambda k, ulp: float(np.clip(np.nextafter(k * radius, k * radius + ulp), 0.0, 1.0)),
-        st.integers(0, int(1 / radius) + 1),
+        lambda k, ulp: float(np.clip(np.nextafter(k * cell, k * cell + ulp), 0.0, 1.0)),
+        st.integers(0, int(1 / cell) + 1),
         st.sampled_from([0, -1, 1]),
     )
     coord = st.one_of(st.sampled_from([0.0, 1.0]), edge, st.floats(0.0, 1.0))
@@ -486,11 +491,24 @@ class TestGridIndex:
         with pytest.raises(ValueError):
             build_index(np.empty((0, 2)), 0.0)
 
-    def test_rejects_radius_whose_keys_overflow(self):
-        # stride**2 is about 1e20 here, beyond int64.
+    @pytest.mark.parametrize("radius", [1e-10, 5e-324])
+    def test_tiny_radius_gets_coarse_cells(self, radius):
+        # Cells of side ``radius`` would need 1e20 keys or more, beyond
+        # int64; the index takes cells of the largest count that fits.
         pts = np.random.default_rng(31).random((20, 2))
-        with pytest.raises(ValueError, match="overflow"):
-            build_index(pts, 1e-10)
+        pts[15:] = pts[:5] + radius / 2
+        idx = build_index(pts, radius)
+        assert idx._stride == math.isqrt(2 * 20 + geometry._TABLE_SLACK)
+        assert idx._cell == 1.0 / (idx._stride - 4) and idx.radius == radius
+        got = _index_pairs(pts, radius)
+        assert got == _scan_pairs(pts, radius)
+        assert len(got) == (10 if radius == 1e-10 else 0)
+
+    def test_rejects_too_many_points(self):
+        # A broadcast view: no memory for 2**30 points is allocated.
+        pts = np.broadcast_to(np.array([0.5, 0.5]), (2**30, 2))
+        with pytest.raises(ValueError, match=r"2\*\*30"):
+            build_index(pts, 0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, -1e-12, 1.0 + 1e-12])
     @pytest.mark.parametrize("axis", [0, 1])
@@ -544,21 +562,22 @@ class TestGridIndex:
     def test_property_index_order_is_stable(self, case):
         pts, radius = case
         idx = build_index(pts, radius)
-        keys = _cell_keys(pts, radius, idx._stride)
+        keys = _cell_keys(pts, idx._cell, idx._stride)
         order = np.argsort(keys, kind="stable")
         assert np.array_equal(idx._order, order)
         assert np.array_equal(idx._keys, keys[order])
 
     def test_tiny_cells_keep_stable_order(self):
-        # stride**2 * N >= 2**63: the composite key ``key * N + i`` would
-        # overflow, so the index falls back to a stable argsort.
+        # Cells of side 1e-9 would not fit the table budget, so the index
+        # coarsens them; its one sort still keeps points of a cell in
+        # input order.
         rng = np.random.default_rng(11)
         pts = rng.random((20, 2))
         pts[10:15] = pts[:5]
         pts[15:] = pts[0]
         idx = build_index(pts, 1e-9)
-        assert idx._stride**2 * len(pts) >= 2**63
-        keys = _cell_keys(pts, 1e-9, idx._stride)
+        assert idx._stride**2 <= 2 * len(pts) + geometry._TABLE_SLACK < (int(1e9) + 4) ** 2
+        keys = _cell_keys(pts, idx._cell, idx._stride)
         order = np.argsort(keys, kind="stable")
         assert np.array_equal(idx._order, order)
         assert np.array_equal(idx._keys, keys[order])
@@ -596,9 +615,9 @@ class TestGridIndex:
         # can have, so the next-column bound reads the table's last entry
         # that any point reaches. ``None`` is the full disk, checked against
         # the distance scan. The radii make ``1 / r`` an integer or one ulp
-        # off one.
+        # off one; 1e-3 gets coarser cells.
         rng = np.random.default_rng(17)
-        radii = [0.05, 0.1, 0.125, 0.25, 1 / 3]
+        radii = [0.05, 0.1, 0.125, 0.25, 1 / 3, 1e-3]
         radii += [float(np.nextafter(0.25, 0.0)), float(np.nextafter(0.25, 1.0))]
         for radius in radii:
             near = [1.0 - k * radius for k in (2.0, 1.5, 1.0, 0.5)]
@@ -616,7 +635,7 @@ class TestGridIndex:
             else:
                 want = _apex_scan(pts, theta, alpha, radius)
             assert set(got) == want
-            column = np.floor(pts[:, 0] / radius).astype(np.int64)
+            column = np.floor(pts[:, 0] / idx._cell).astype(np.int64)
             key_pos = np.empty(idx.count, dtype=np.int64)
             key_pos[idx._order] = np.arange(idx.count)
             sort_key = list(zip((column[gj] - column[gi]).tolist(), gi.tolist(), key_pos[gj].tolist()))
@@ -640,16 +659,16 @@ class TestGridIndex:
         assert gi.dtype == gj.dtype == np.int64
         assert set(zip(gi.tolist(), gj.tolist())) == _apex_scan(pts, theta, alpha, radius)
         # Order: column offset of j's cell from i's, then i, then j's key position.
-        column = np.floor(pts[:, 0] / radius).astype(np.int64)
+        column = np.floor(pts[:, 0] / idx._cell).astype(np.int64)
         key_pos = np.empty(idx.count, dtype=np.int64)
         key_pos[idx._order] = np.arange(idx.count)
         sort_key = list(zip((column[gj] - column[gi]).tolist(), gi.tolist(), key_pos[gj].tolist()))
         assert sort_key == sorted(set(sort_key))
 
 
-class TestSearchsortedBounds:
-    """Grids with far more cells than points read their range bounds by
-    ``searchsorted`` instead of a table of ``stride**2`` entries."""
+class TestCoarseCells:
+    """Radii whose cells would need more than ``2 * N + _TABLE_SLACK`` keys
+    get cells of the largest count within that budget."""
 
     @pytest.mark.parametrize("chunk", [None, 1, 64])
     def test_sparse_grid_matches_oracles(self, monkeypatch, chunk):
@@ -662,39 +681,27 @@ class TestSearchsortedBounds:
         pts[2950:] = pts[50:100]
         theta = rng.random(len(pts)) * TWO_PI
         idx = build_index(pts, 1e-3)
-        assert idx._stride**2 > 8 * idx.count + geometry._TABLE_SLACK
+        assert idx._stride**2 <= 2 * idx.count + geometry._TABLE_SLACK
+        assert idx._cell > 1e-3
         full = _index_pairs(pts, 1e-3)
         assert len(full) >= 60 and full == _scan_pairs(pts, 1e-3)
         got = ordered_pairs_within(idx, theta, 2.0)
         assert set(zip(got[0].tolist(), got[1].tolist())) == _apex_scan(pts, theta, 2.0, 1e-3)
+        # A budget that fits cells of side r: the same arc set.
         monkeypatch.setattr(geometry, "_TABLE_SLACK", 2**21)
-        table = ordered_pairs_within(idx, theta, 2.0)
-        assert all(np.array_equal(t, g) and t.dtype == g.dtype for t, g in zip(table, got))
+        fine = build_index(pts, 1e-3)
+        assert fine._cell == 1e-3
+        gi, gj = ordered_pairs_within(fine, theta, 2.0)
+        assert set(zip(gi.tolist(), gj.tolist())) == set(zip(got[0].tolist(), got[1].tolist()))
 
     def test_cells_too_many_for_a_table(self):
-        # stride**2 is about 1e14 here: no table of that size could be built.
+        # Cells of side r would number about 1e14; 50 points get 252**2.
         rng = np.random.default_rng(29)
         pts = rng.random((50, 2))
         pts[40:45] = pts[:5] + 5e-8
         pts[45:] = pts[5:10]
         idx = build_index(pts, 1e-7)
-        assert idx._stride**2 > 10**13
+        assert idx._stride == 256 and idx._cell == 1 / 252
         got = _index_pairs(pts, 1e-7)
         assert {(i, i + 40) for i in range(5)} <= got
         assert got == _scan_pairs(pts, 1e-7)
-
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-    @given(_cell_edge_points().flatmap(_with_orientations), _ALPHA)
-    def test_both_paths_give_the_same_arcs(self, case, alpha):
-        (pts, radius), theta = case
-        idx = build_index(pts, radius)
-        theta = np.array(theta, dtype=float)
-        got = []
-        # searchsorted in blocks of 8192 and of 2 key positions, then the table
-        for slack, chunk in ((-(2**40), 8192), (-(2**40), 2), (2**40, 8192)):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(geometry, "_TABLE_SLACK", slack)
-                patch.setattr(geometry, "_PAIR_CHUNK", chunk)
-                got.append(ordered_pairs_within(idx, theta, alpha))
-        assert all(np.array_equal(s, t) and s.dtype == t.dtype for s, t in zip(got[0], got[2]))
-        assert all(np.array_equal(s, t) and s.dtype == t.dtype for s, t in zip(got[1], got[2]))

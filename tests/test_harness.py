@@ -196,6 +196,14 @@ class TestSweep:
         assert points[0].error is not None
         assert points[1].report is not None
 
+    @pytest.mark.parametrize("side", ["total", "both"])
+    def test_rejects_unknown_side_before_any_trial(self, monkeypatch, side):
+        monkeypatch.setattr(harness, "run_one_trial", None)  # no trial may start
+        with pytest.raises(ValueError, match="side"):
+            verify(_params(), 300, sides=(side,))
+        with pytest.raises(ValueError, match="side"):
+            sweep(_params(), [300], trials=300, mu_target=1.0, sides=("out", side))
+
     def test_requires_schedule(self):
         params = _params()
         with pytest.raises(ValueError):
