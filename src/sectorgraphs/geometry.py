@@ -338,11 +338,9 @@ def ordered_pairs_within(
     it: ``0 < d2 <= radius**2``, so a point coincident with the apex is
     excluded.
 
-    Order: blocks by the column offset of ``j``'s cell from ``i``'s
-    (``-1, 0, 1``); within a block, by ``i`` and then by the position of
-    ``j`` in the sorted keys. The order is restored by sorting the int64
-    key ``(block * N + i) * N + pos_j``, which ``N < 2**30`` keeps below
-    ``2**63``.
+    Order: ascending ``(i, j)``, the natural edge-list order, whatever
+    the grid: the arcs are sorted by the int64 key ``i * N + j``, which
+    ``N < 2**30`` keeps below ``2**60``.
 
     Each unordered pair is visited once, from its endpoint earlier in key
     order. Cells are at least ``radius`` wide, so the partners of the
@@ -391,14 +389,12 @@ def ordered_pairs_within(
         dy = sy[b] - sy[a]
         d2 = dx * dx + dy * dy
         near = np.nonzero((d2 > 0.0) & (d2 <= r2))[0]
-        col = near >= split
         a, b, dx, dy = a[near], b[near], dx[near], dy[near]
         fwd = angle_in_arc(dx, dy, st[a], alpha)
         rev = angle_in_arc(-dx, -dy, st[b], alpha)
-        # a -> b lies in block ``col + 1`` and b -> a in block ``1 - col``.
-        out.append((((col + 1) * n + order[a]) * n + b)[fwd])
-        out.append((((1 - col) * n + order[b]) * n + a)[rev])
+        i, j = order[a], order[b]
+        out.append((i * n + j)[fwd])
+        out.append((j * n + i)[rev])
     # Free the key-order copies and the table before the final sort, the peak.
     del sx, sy, st, table
-    block_i, pos_j = np.divmod(np.sort(np.concatenate(out)), n)
-    return block_i % n, order[pos_j]
+    return np.divmod(np.sort(np.concatenate(out)), n)

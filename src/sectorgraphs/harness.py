@@ -148,13 +148,14 @@ def run_trials(
     options: TrialOptions | None = None,
 ) -> list[TrialRecord]:
     """Run ``trials`` independent trials; records are identical for any
-    ``parallelism``."""
+    ``parallelism``. At most ``trials`` worker processes start."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     options = options or TrialOptions()
     for _, side in options.w_sets:
         check_side(side)
-    if parallelism <= 1:
+    workers = min(parallelism, trials)
+    if workers <= 1:
         return [run_one_trial(params, t, options) for t in range(trials)]
     # Imported on use: it loads ``multiprocessing``, ``subprocess`` and
     # ``socket``, which took about 40 ms of the package's import and first
@@ -162,8 +163,8 @@ def run_trials(
     from concurrent.futures import ProcessPoolExecutor
 
     jobs = ((params, t, options) for t in range(trials))
-    chunk = max(1, trials // (parallelism * 8))
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    chunk = max(1, trials // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_worker, jobs, chunksize=chunk))
 
 

@@ -71,8 +71,8 @@ class ModelParams:
 class FaultySectorGraph:
     """One realization: positions, orientations, alive flags and arcs.
 
-    ``arcs`` is an ``(m, 2)`` integer array of ordered pairs, each present
-    at most once.
+    ``arcs`` is an ``(m, 2)`` integer array of arcs ``(tail, head)`` in
+    strictly increasing order, so each arc is present at most once.
     """
 
     params: ModelParams
@@ -81,9 +81,6 @@ class FaultySectorGraph:
     orientations: np.ndarray
     alive: np.ndarray
     arcs: np.ndarray
-
-    def arc_set(self) -> set[tuple[int, int]]:
-        return {(int(a), int(b)) for a, b in self.arcs}
 
 
 @dataclass
@@ -181,7 +178,7 @@ def interior_out_degree_stats(g: FaultySectorGraph) -> tuple[int, int]:
 
 
 def write_edge_list(g: FaultySectorGraph, path) -> None:
-    """Text dump: header ``N alive_count``, then one arc ``i j`` per line."""
+    """Text dump: header ``N alive_count``, then one arc ``i j`` per line, ascending."""
     with open(path, "w") as fh:
         fh.write(f"{g.realized_count} {np.count_nonzero(g.alive)}\n")
         for a, b in g.arcs:
@@ -202,10 +199,12 @@ def write_vertex_csv(g: FaultySectorGraph, path) -> None:
 def check_structure(g: FaultySectorGraph) -> None:
     """Raise AssertionError naming the first failed structural invariant:
     endpoints that are vertex indices, no dead endpoints, distance bound,
-    distinct endpoints, or sector membership of every arc. Raised
+    distinct endpoints, sector membership of every arc, or arcs strictly
+    increasing in ``(tail, head)``, which rules out repeated arcs. Raised
     explicitly, so ``python -O`` checks too.
     """
-    # Tested first: the other invariants index by the endpoints.
+    # Tested first: the other invariants index by the endpoints, and the key
+    # ``i * N + j`` orders arcs as ``(i, j)`` only for endpoints below N.
     if not np.all((g.arcs >= 0) & (g.arcs < g.realized_count)):
         raise AssertionError("graph structure: an arc endpoint is not a vertex index")
     i, j = g.arcs[:, 0], g.arcs[:, 1]
@@ -217,6 +216,7 @@ def check_structure(g: FaultySectorGraph) -> None:
         "an arc is longer than r": np.all(d2 <= g.params.r**2),
         "an arc joins coincident points": np.all(d2 > 0.0),
         "an arc leaves its tail's sector": np.all(in_sector),
+        "arcs are not strictly increasing in (tail, head)": np.all(np.diff(i * g.realized_count + j) > 0),
     }
     for broken, holds in invariants.items():
         if not holds:

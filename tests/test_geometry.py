@@ -87,10 +87,11 @@ _ALPHA = st.one_of(
 )
 
 
-def _index_pairs(pts: np.ndarray, radius: float) -> set[tuple[int, int]]:
-    """The kernel's arcs of the full disk, whatever the orientations."""
+def _index_pairs(pts: np.ndarray, radius: float) -> list[tuple[int, int]]:
+    """The kernel's arcs of the full disk, whatever the orientations, in
+    its output order."""
     gi, gj = ordered_pairs_within(build_index(pts, radius), np.zeros(len(pts)), TWO_PI)
-    return set(zip(gi.tolist(), gj.tolist()))
+    return list(zip(gi.tolist(), gj.tolist()))
 
 
 class TestAngleInArc:
@@ -477,15 +478,15 @@ class TestGridIndex:
         idx = build_index(pts, 0.1)
         assert idx.count == 3
         got = _index_pairs(pts, 0.1)
-        assert got == {(i, j) for i in range(3) for j in range(3) if i != j}
-        assert got == _scan_pairs(pts, 0.1)
+        assert got == [(i, j) for i in range(3) for j in range(3) if i != j]
+        assert got == sorted(_scan_pairs(pts, 0.1))
 
     def test_buckets_partition_points(self):
         rng = np.random.default_rng(7)
         pts = rng.random((10_000, 2))
         idx = build_index(pts, 0.03)
         assert idx.count == 10_000
-        assert _index_pairs(pts, 0.03) == _scan_pairs(pts, 0.03)
+        assert _index_pairs(pts, 0.03) == sorted(_scan_pairs(pts, 0.03))
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
@@ -501,7 +502,7 @@ class TestGridIndex:
         assert idx._stride == math.isqrt(2 * 20 + geometry._TABLE_SLACK)
         assert idx._cell == 1.0 / (idx._stride - 4) and idx.radius == radius
         got = _index_pairs(pts, radius)
-        assert got == _scan_pairs(pts, radius)
+        assert got == sorted(_scan_pairs(pts, radius))
         assert len(got) == (10 if radius == 1e-10 else 0)
 
     def test_rejects_too_many_points(self):
@@ -520,29 +521,29 @@ class TestGridIndex:
 
     def test_accepts_square_edges(self):
         pts = np.array([[1.0, -0.0], [-0.0, 1.0], [1.0, 1.0], [0.98, 1.0]])
-        assert _index_pairs(pts, 0.05) == {(2, 3), (3, 2)} == _scan_pairs(pts, 0.05)
+        assert _index_pairs(pts, 0.05) == [(2, 3), (3, 2)] == sorted(_scan_pairs(pts, 0.05))
 
     def test_isolated_point(self):
         pts = np.array([[0.5, 0.5], [0.9, 0.9]])
         got = _index_pairs(pts, 0.05)
-        assert got == set() == _scan_pairs(pts, 0.05)
+        assert got == [] == sorted(_scan_pairs(pts, 0.05))
 
     def test_all_points_identical(self):
         # Coincident points are never in each other's sector.
         pts = np.full((25, 2), 0.4)
         got = _index_pairs(pts, 0.01)
-        assert got == set() == _scan_pairs(pts, 0.01)
+        assert got == [] == sorted(_scan_pairs(pts, 0.01))
 
     def test_ordered_pairs_match_linear_scan(self):
         rng = np.random.default_rng(321)
         pts = rng.random((400, 2))
         radius = 0.06
-        assert _index_pairs(pts, radius) == _scan_pairs(pts, radius)
+        assert _index_pairs(pts, radius) == sorted(_scan_pairs(pts, radius))
 
     def test_point_on_square_border_indexed(self):
         pts = np.array([[1.0, 1.0], [0.98, 0.98]])
         got = _index_pairs(pts, 0.05)
-        assert got == {(0, 1), (1, 0)} == _scan_pairs(pts, 0.05)
+        assert got == [(0, 1), (1, 0)] == sorted(_scan_pairs(pts, 0.05))
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(_cell_edge_points())
@@ -552,10 +553,7 @@ class TestGridIndex:
     @example((np.array([[0.2, 0.7], [0.2, 0.7]]), 0.05))
     def test_property_matches_linear_scan(self, case):
         pts, radius = case
-        gi, gj = ordered_pairs_within(build_index(pts, radius), np.zeros(len(pts)), TWO_PI)
-        got = list(zip(gi.tolist(), gj.tolist()))
-        assert len(got) == len(set(got))
-        assert set(got) == _scan_pairs(pts, radius)
+        assert _index_pairs(pts, radius) == sorted(_scan_pairs(pts, radius))
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(_cell_edge_points())
@@ -604,9 +602,9 @@ class TestGridIndex:
         pts[290:] = pts[:10]
         theta = rng.random(300) * TWO_PI
         idx = build_index(pts, 0.1)
-        assert _index_pairs(pts, 0.1) == _scan_pairs(pts, 0.1)
+        assert _index_pairs(pts, 0.1) == sorted(_scan_pairs(pts, 0.1))
         gi, gj = ordered_pairs_within(idx, theta, 2.0)
-        assert set(zip(gi.tolist(), gj.tolist())) == _apex_scan(pts, theta, 2.0, 0.1)
+        assert list(zip(gi.tolist(), gj.tolist())) == sorted(_apex_scan(pts, theta, 2.0, 0.1))
 
     @pytest.mark.parametrize("alpha", [None, 2.0])
     def test_last_columns_match_oracles(self, alpha):
@@ -628,18 +626,11 @@ class TestGridIndex:
             idx = build_index(pts, radius)
             assert idx._keys[-1] == idx._stride**2 - 2 * idx._stride - 3
             gi, gj = ordered_pairs_within(idx, theta, alpha or TWO_PI)
-            got = list(zip(gi.tolist(), gj.tolist()))
-            assert len(got) == len(set(got))
             if alpha is None:
                 want = _scan_pairs(pts, radius)
             else:
                 want = _apex_scan(pts, theta, alpha, radius)
-            assert set(got) == want
-            column = np.floor(pts[:, 0] / idx._cell).astype(np.int64)
-            key_pos = np.empty(idx.count, dtype=np.int64)
-            key_pos[idx._order] = np.arange(idx.count)
-            sort_key = list(zip((column[gj] - column[gi]).tolist(), gi.tolist(), key_pos[gj].tolist()))
-            assert sort_key == sorted(sort_key)
+            assert list(zip(gi.tolist(), gj.tolist())) == sorted(want)
 
     def test_rejects_orientation_count_mismatch(self):
         pts = np.array([[0.5, 0.5], [0.52, 0.5]])
@@ -657,13 +648,7 @@ class TestGridIndex:
         idx = build_index(pts, radius)
         gi, gj = ordered_pairs_within(idx, theta, alpha)
         assert gi.dtype == gj.dtype == np.int64
-        assert set(zip(gi.tolist(), gj.tolist())) == _apex_scan(pts, theta, alpha, radius)
-        # Order: column offset of j's cell from i's, then i, then j's key position.
-        column = np.floor(pts[:, 0] / idx._cell).astype(np.int64)
-        key_pos = np.empty(idx.count, dtype=np.int64)
-        key_pos[idx._order] = np.arange(idx.count)
-        sort_key = list(zip((column[gj] - column[gi]).tolist(), gi.tolist(), key_pos[gj].tolist()))
-        assert sort_key == sorted(set(sort_key))
+        assert list(zip(gi.tolist(), gj.tolist())) == sorted(_apex_scan(pts, theta, alpha, radius))
 
 
 class TestCoarseCells:
@@ -684,15 +669,14 @@ class TestCoarseCells:
         assert idx._stride**2 <= 2 * idx.count + geometry._TABLE_SLACK
         assert idx._cell > 1e-3
         full = _index_pairs(pts, 1e-3)
-        assert len(full) >= 60 and full == _scan_pairs(pts, 1e-3)
+        assert len(full) >= 60 and full == sorted(_scan_pairs(pts, 1e-3))
         got = ordered_pairs_within(idx, theta, 2.0)
-        assert set(zip(got[0].tolist(), got[1].tolist())) == _apex_scan(pts, theta, 2.0, 1e-3)
-        # A budget that fits cells of side r: the same arc set.
+        assert list(zip(got[0].tolist(), got[1].tolist())) == sorted(_apex_scan(pts, theta, 2.0, 1e-3))
+        # A budget that fits cells of side r: the same arcs in the same order.
         monkeypatch.setattr(geometry, "_TABLE_SLACK", 2**21)
         fine = build_index(pts, 1e-3)
         assert fine._cell == 1e-3
-        gi, gj = ordered_pairs_within(fine, theta, 2.0)
-        assert set(zip(gi.tolist(), gj.tolist())) == set(zip(got[0].tolist(), got[1].tolist()))
+        assert all(np.array_equal(f, c) for f, c in zip(ordered_pairs_within(fine, theta, 2.0), got))
 
     def test_cells_too_many_for_a_table(self):
         # Cells of side r would number about 1e14; 50 points get 252**2.
@@ -703,5 +687,5 @@ class TestCoarseCells:
         idx = build_index(pts, 1e-7)
         assert idx._stride == 256 and idx._cell == 1 / 252
         got = _index_pairs(pts, 1e-7)
-        assert {(i, i + 40) for i in range(5)} <= got
-        assert got == _scan_pairs(pts, 1e-7)
+        assert {(i, i + 40) for i in range(5)} <= set(got)
+        assert got == sorted(_scan_pairs(pts, 1e-7))

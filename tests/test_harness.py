@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -56,6 +57,29 @@ class TestRunTrials:
         serial = run_trials(params, 24)
         parallel = run_trials(params, 24, parallelism=3)
         assert serial == parallel
+
+    @pytest.mark.parametrize("trials, parallelism, workers", [(3, 64, 3), (1, 4, None), (24, 3, 3)])
+    def test_starts_at_most_one_worker_per_trial(self, monkeypatch, trials, parallelism, workers):
+        # A fake pool that maps in this process: no worker process starts.
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        params = _params(n=200)
+        assert run_trials(params, trials, parallelism=parallelism) == run_trials(params, trials)
+        assert started == ([] if workers is None else [workers])
 
     def test_csv_identical_across_worker_counts(self, tmp_path):
         params = _params(n=300, mode="poisson")

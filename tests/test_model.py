@@ -80,7 +80,7 @@ class TestSampleGraph:
                 g.positions[1, 1] - g.positions[0, 1],
             )
             if d <= params.r:
-                assert (0, 1) in g.arc_set() and (1, 0) in g.arc_set()
+                assert g.arcs.tolist() == [[0, 1], [1, 0]]
 
     def test_single_vertex_has_no_arcs(self):
         params = ModelParams(n=1, alpha=math.pi, r=0.1, v=0.0, q=0.0)
@@ -119,8 +119,7 @@ class TestSampleGraph:
             assert np.array_equal(g.positions, pos)
             assert np.array_equal(g.orientations, orient)
             assert np.array_equal(g.alive, alive)
-            want = set(zip(*[a.tolist() for a in np.nonzero(adj)]))
-            assert g.arc_set() == want
+            assert np.array_equal(g.arcs, np.argwhere(adj))
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(
@@ -135,7 +134,7 @@ class TestSampleGraph:
         params = ModelParams(n=n, alpha=TWO_PI, r=r, v=v, q=q, master_seed=seed)
         g = sample_trial(params, trial)
         _, _, _, adj = brute_force_graph(params, trial)
-        assert g.arc_set() == set(zip(*[a.tolist() for a in np.nonzero(adj)]))
+        assert np.array_equal(g.arcs, np.argwhere(adj))
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(
@@ -154,7 +153,7 @@ class TestSampleGraph:
         params = ModelParams(n=n, alpha=alpha, r=r, v=v, q=q, mode=mode, master_seed=seed)
         g = sample_trial(params, trial)
         _, _, _, adj = brute_force_graph(params, trial)
-        assert g.arc_set() == set(zip(*[a.tolist() for a in np.nonzero(adj)]))
+        assert np.array_equal(g.arcs, np.argwhere(adj))
 
     def test_positions_in_square_orientations_in_range(self):
         g = sample_trial(ModelParams(n=500, alpha=math.pi, r=0.05, v=0.0, q=0.0), 1)
@@ -262,6 +261,7 @@ broken = {
     "negative endpoint": with_arc(-1, alive[0]),
     # Turning every tail round by pi moves each arc's head out of its sector.
     "out of sector": dataclasses.replace(g, orientations=(g.orientations + math.pi) % (2 * math.pi)),
+    "repeated arc": dataclasses.replace(g, arcs=np.repeat(g.arcs, 2, axis=0)),
 }
 for case, bad in broken.items():
     try:
@@ -286,7 +286,17 @@ def test_check_structure_runs_under_optimize():
         "endpoint past the last vertex | graph structure: an arc endpoint is not a vertex index",
         "negative endpoint | graph structure: an arc endpoint is not a vertex index",
         "out of sector | graph structure: an arc leaves its tail's sector",
+        "repeated arc | graph structure: arcs are not strictly increasing in (tail, head)",
     ]
+
+
+def test_check_structure_rejects_swapped_arcs():
+    params = ModelParams(n=300, alpha=math.pi, r=0.1, v=0.1, q=0.2, master_seed=6)
+    g = sample_trial(params, 0)
+    check_structure(g)
+    g.arcs[[0, -1]] = g.arcs[[-1, 0]]
+    with pytest.raises(AssertionError, match=r"strictly increasing in \(tail, head\)"):
+        check_structure(g)
 
 
 class TestStatistics:
@@ -343,8 +353,7 @@ class TestDumps:
         n, alive = map(int, lines[0].split())
         assert n == g.realized_count
         assert alive == degree_summary(g).alive_count
-        listed = {tuple(map(int, line.split())) for line in lines[1:]}
-        assert listed == g.arc_set()
+        assert [list(map(int, line.split())) for line in lines[1:]] == g.arcs.tolist()
 
     def test_vertex_csv_roundtrip(self, tmp_path):
         params = ModelParams(n=40, alpha=math.pi, r=0.2, v=0.2, q=0.0, master_seed=22)
@@ -382,13 +391,14 @@ def _sha256(*arrays: np.ndarray) -> str:
     return hashlib.sha256(b"".join(a.astype("<i8").tobytes() for a in arrays)).hexdigest()
 
 
-# The order of arcs and pairs is output too (edge lists are written in it),
-# and the set comparisons elsewhere cannot see it, so pin it by digest.
+# Arcs come out in ascending (tail, head) order, which the oracle tests check
+# as arrays; these digests keep the arc set at sizes the O(n^2) oracle
+# cannot reach.
 @pytest.mark.parametrize(
     "alpha, arcs, digest",
     [
-        (math.pi, 8894, "2222a5afcdb41b73894590ef9b4a9d02be672efed0e31b18632f2152361d4f9c"),
-        (TWO_PI, 9014, "2d33d9202447753ee0b628c8d6706628c115671bf06d776dc492b492a77c76b1"),
+        (math.pi, 8894, "240d6508890109acf07dcc6659757f32464d25323aae5d49cc2d335d04dcde98"),
+        (TWO_PI, 9014, "00899bb9660967db380c3dbd5dfbd72753de5606efba8548d3a1b5d312b9a65e"),
     ],
 )
 def test_arc_order_is_pinned(alpha, arcs, digest):
@@ -402,7 +412,7 @@ def test_arc_order_is_pinned(alpha, arcs, digest):
 
 
 def test_sector_arc_order_is_pinned():
-    # alpha = pi/3 with no faults: the order comes from the sector tests alone.
+    # alpha = pi/3 with no faults: the arcs come from the sector tests alone.
     n, alpha = 20_000, math.pi / 3
     r = radius_for_mean_degree(n, alpha, 0.0, 0.0, 1.0)
     params = ModelParams(
@@ -410,7 +420,7 @@ def test_sector_arc_order_is_pinned():
     )
     g = sample_graph(params, TrialStream(2024, 3))
     assert g.arcs.shape == (19_804, 2)
-    assert _sha256(g.arcs) == "3b55fb01eb7766df612982e57c1f37754e54b2b2c8097171189d75cc88eff4ba"
+    assert _sha256(g.arcs) == "5b847599db7c0ef11bb19ff14d225eb32bee60557879a027eb926643e098815a"
 
 
 def test_pair_order_is_pinned():
@@ -418,4 +428,4 @@ def test_pair_order_is_pinned():
     # The full disk: every pair of the (distinct) points within 0.02, both ways.
     i, j = ordered_pairs_within(build_index(pts, 0.02), np.zeros(len(pts)), TWO_PI)
     assert i.size == 123_498
-    assert _sha256(i, j) == "ccad2a6aeeaa41061558936913a2ab25f0f81bfe4793b7a4d82b32ddffa87386"
+    assert _sha256(i, j) == "0ef5e506068bee4aa1bd602f99f29fdf350297ae3d23bc08876475132f05e1af"
