@@ -15,7 +15,6 @@ import numpy as np
 from sectorgraphs import (
     DegreeSet,
     ModelParams,
-    degree_count,
     degree_summary,
     sample_trial,
     write_edge_list,
@@ -35,8 +34,8 @@ print(f"max out-degree:    {s.max_out}   max in-degree: {s.max_in}")
 print(f"mean out-degree of alive vertices: {s.out_degrees.mean():.3f}")
 
 tail2 = DegreeSet.upper_tail(2)
-print(f"alive vertices with out-degree >= 2: {degree_count(g, tail2, 'out')}")
-print(f"alive vertices with in-degree  >= 2: {degree_count(g, tail2, 'in')}")
+print(f"alive vertices with out-degree >= 2: {tail2.count_in(s.degrees('out'))}")
+print(f"alive vertices with in-degree  >= 2: {tail2.count_in(s.degrees('in'))}")
 
 g_again = sample_trial(params, trial_index=0)
 assert np.array_equal(g.arcs, g_again.arcs)

@@ -40,7 +40,7 @@ records = run_trials(
 
 for side in ("out", "in"):
     rep = tv_bound(params, tail, side, outer_samples=1500, ew_samples=8000)
-    w = np.array([rec.w_counts[f"{tail.descriptor()}|{side}"] for rec in records])
+    w = np.array([rec.w_counts[(tail, side)] for rec in records])
     emp = empirical_tv(w, rep.ew)
     boot = empirical_tv_bootstrap_se(w, rep.ew, seed=SEED)
     print(f"{side}-degree count:")

@@ -11,7 +11,6 @@ from .degree_sets import DegreeSet
 from .harness import TrialOptions, compare, run_trials, sweep
 from .model import (
     ModelParams,
-    degree_count,
     degree_summary,
     sample_trial,
     write_edge_list,
@@ -30,7 +29,6 @@ __all__ = [
     "TrialOptions",
     "check_regime",
     "compare",
-    "degree_count",
     "degree_summary",
     "empirical_tv",
     "empirical_tv_bootstrap_se",

@@ -54,22 +54,14 @@ from .theory import (
 )
 
 
-def to_jsonable(obj):
+def _json_default(obj):
+    """What ``json`` cannot encode itself: a dataclass becomes its fields,
+    a numpy array or scalar its Python value."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -81,7 +73,8 @@ def _out_dir(cfg: RunConfig) -> Path:
 def _persist(cfg: RunConfig, out: Path, payload: dict) -> None:
     (out / "config.txt").write_text(serialize_config(cfg))
     (out / "report.json").write_text(
-        json.dumps(to_jsonable(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        json.dumps(payload, default=_json_default, indent=2, sort_keys=True, allow_nan=False)
+        + "\n"
     )
 
 
@@ -214,8 +207,7 @@ def cmd_bound(cfg: RunConfig, with_empirical: bool = False) -> int:
         )
         row = dataclasses.asdict(rep)
         if records is not None:
-            key = f"{ds.descriptor()}|{side}"
-            samples = [rec.w_counts[key] for rec in records]
+            samples = [rec.w_counts[(ds, side)] for rec in records]
             tv = empirical_tv(samples, rep.ew) if rep.ew > 0 else 0.0
             boot = empirical_tv_bootstrap_se(samples, rep.ew, seed=cfg.seed) if rep.ew > 0 else 0.0
             row["empirical_tv"] = tv
@@ -231,18 +223,18 @@ def cmd_bound(cfg: RunConfig, with_empirical: bool = False) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    validate_config(cfg, need_radius=False)
     if not cfg.n_grid:
         raise ConfigError("n_grid: must be nonempty for sweep")
+    # A sweep never runs ``cfg.n``; its largest run is ``max(n_grid)``.
+    largest = dataclasses.replace(cfg, n=max(cfg.n_grid))
+    validate_config(largest, need_radius=False)
     if cfg.mode == "both":
         raise ConfigError("mode: sweep needs a single mode")
     if (cfg.mu_target is None) == (not cfg.r_grid):
         raise ConfigError("sweep needs exactly one of 'mu_target' or 'r_grid'")
     if cfg.r_grid and len(cfg.r_grid) != len(cfg.n_grid):
         raise ConfigError("r_grid: must give one radius per n_grid entry")
-    base = resolve_params(
-        dataclasses.replace(cfg, r=0.01, mu_target=None, n=max(cfg.n_grid)), cfg.mode
-    )
+    base = resolve_params(dataclasses.replace(largest, r=0.01, mu_target=None), cfg.mode)
     points = run_sweep(
         base,
         list(cfg.n_grid),

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, fields
 
 from .degree_sets import DegreeSet
-from .model import ModelParams
+from .model import MODES, SIDES, ModelParams
 from .theory import radius_for_mean_degree
 
 
@@ -72,10 +72,10 @@ class RunConfig:
     r_grid: tuple[float, ...] = ()
 
     def sides(self) -> tuple[str, ...]:
-        return ("out", "in") if self.side == "both" else (self.side,)
+        return SIDES if self.side == "both" else (self.side,)
 
     def modes(self) -> tuple[str, ...]:
-        return ("binomial", "poisson") if self.mode == "both" else (self.mode,)
+        return MODES if self.mode == "both" else (self.mode,)
 
 
 def _split_a_sets(raw: str) -> tuple[str, ...]:
@@ -178,9 +178,9 @@ def validate_config(cfg: RunConfig, need_radius: bool = True) -> None:
         raise ConfigError(
             "out: must not contain '#' or a line break, or start or end with whitespace"
         )
-    if cfg.mode not in ("binomial", "poisson", "both"):
+    if cfg.mode not in (*MODES, "both"):
         raise ConfigError("mode: must be binomial, poisson or both")
-    if cfg.side not in ("out", "in", "both"):
+    if cfg.side not in (*SIDES, "both"):
         raise ConfigError("side: must be out, in or both")
     if cfg.trials < 1:
         raise ConfigError("trials: must be >= 1")

@@ -17,6 +17,7 @@ import numpy as np
 from .bounds import bootstrap_se
 from .degree_sets import DegreeSet
 from .model import (
+    SIDES,
     ModelParams,
     check_side,
     degree_summary,
@@ -54,9 +55,14 @@ class TrialRecord:
     max_out: int
     max_in: int
     empty: bool
-    w_counts: dict[str, int] | None = None
+    w_counts: dict[tuple[DegreeSet, str], int] | None = None
     interior_sum: int | None = None
     interior_count: int | None = None
+
+    def max_degree(self, side: str) -> int:
+        """The largest out- or in-degree of the trial's graph."""
+        check_side(side)
+        return self.max_out if side == "out" else self.max_in
 
 
 @dataclass
@@ -107,10 +113,6 @@ class SweepPoint:
     error: str | None = None
 
 
-def _w_key(degree_set: DegreeSet, side: str) -> str:
-    return f"{degree_set.descriptor()}|{side}"
-
-
 def run_one_trial(
     params: ModelParams, trial_index: int, options: TrialOptions
 ) -> TrialRecord:
@@ -127,10 +129,7 @@ def run_one_trial(
         empty=summary.empty,
     )
     if options.w_sets:
-        rec.w_counts = {}
-        for ds, side in options.w_sets:
-            degrees = summary.out_degrees if side == "out" else summary.in_degrees
-            rec.w_counts[_w_key(ds, side)] = ds.count_in(degrees)
+        rec.w_counts = {(ds, side): ds.count_in(summary.degrees(side)) for ds, side in options.w_sets}
     if options.interior_degrees:
         rec.interior_sum, rec.interior_count = interior_out_degree_stats(g)
     return rec
@@ -195,7 +194,7 @@ def _compare_side(
     side: str,
 ) -> SideComparison:
     t = len(records)
-    hist = int_hist([rec.max_out if side == "out" else rec.max_in for rec in records])
+    hist = int_hist([rec.max_degree(side) for rec in records])
     n_km1 = hist.get(prediction.k - 1, 0)
     n_k = hist.get(prediction.k, 0)
     mass_km1 = n_km1 / t
@@ -233,7 +232,7 @@ def compare(
     prediction: FocusingPrediction,
     slack: float,
     params: ModelParams | None = None,
-    sides: tuple[str, ...] = ("out", "in"),
+    sides: tuple[str, ...] = SIDES,
     wall_clock_seconds: float = 0.0,
 ) -> ExperimentReport:
     """Score empirical max-degree masses against the two-point prediction,
@@ -260,7 +259,7 @@ def verify(
     trials: int,
     slack: float = 0.08,
     parallelism: int = 1,
-    sides: tuple[str, ...] = ("out", "in"),
+    sides: tuple[str, ...] = SIDES,
     prediction: FocusingPrediction | None = None,
 ) -> tuple[ExperimentReport, list[TrialRecord]]:
     """Predict, simulate and compare in one step."""
@@ -288,7 +287,7 @@ def sweep(
     r_list: list[float] | None = None,
     slack: float = 0.08,
     parallelism: int = 1,
-    sides: tuple[str, ...] = ("out", "in"),
+    sides: tuple[str, ...] = SIDES,
 ) -> list[SweepPoint]:
     """One verification per grid point. A point beyond the model's limits
     (``RadiusOutOfRange``, ``NoFocusingIndex``) records its error, with
@@ -343,9 +342,9 @@ def mode_agreement(
         raise ValueError("need two nonempty record lists of equal length")
     rng = substream(seed, _DOM_AGREE_BOOT)
     report = {}
-    for side in ("out", "in"):
-        vals_b = np.array([r.max_out if side == "out" else r.max_in for r in records_binomial])
-        vals_p = np.array([r.max_out if side == "out" else r.max_in for r in records_poisson])
+    for side in SIDES:
+        vals_b = np.array([r.max_degree(side) for r in records_binomial])
+        vals_p = np.array([r.max_degree(side) for r in records_poisson])
         report[side] = (half_l1(vals_b, vals_p), bootstrap_se(half_l1, (vals_b, vals_p), rng))
     return ModeAgreementReport(trials, *report["out"], *report["in"])
 

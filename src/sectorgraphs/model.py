@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .degree_sets import DegreeSet
 from .geometry import TWO_PI, angle_in_arc, build_index, ordered_pairs_within
 from .randomness import TrialStream
 
@@ -95,6 +94,11 @@ class DegreeSummary:
     alive_count: int
     empty: bool
 
+    def degrees(self, side: str) -> np.ndarray:
+        """The out- or in-degrees of the alive vertices."""
+        check_side(side)
+        return self.out_degrees if side == "out" else self.in_degrees
+
 
 def sample_graph(params: ModelParams, stream: TrialStream) -> FaultySectorGraph:
     """Draw one realization from the given trial stream."""
@@ -153,14 +157,6 @@ def degree_summary(g: FaultySectorGraph) -> DegreeSummary:
     )
 
 
-def degree_count(g: FaultySectorGraph, degree_set: DegreeSet, side: str) -> int:
-    """Number of alive vertices whose out- or in-degree lies in the set."""
-    check_side(side)
-    summary = degree_summary(g)
-    degrees = summary.out_degrees if side == "out" else summary.in_degrees
-    return degree_set.count_in(degrees)
-
-
 def interior_out_degree_stats(g: FaultySectorGraph) -> tuple[int, int]:
     """(sum of out-degrees, vertex count) over alive vertices farther than
     ``r`` from every side of the square."""
@@ -181,19 +177,17 @@ def write_edge_list(g: FaultySectorGraph, path) -> None:
     """Text dump: header ``N alive_count``, then one arc ``i j`` per line, ascending."""
     with open(path, "w") as fh:
         fh.write(f"{g.realized_count} {np.count_nonzero(g.alive)}\n")
-        for a, b in g.arcs:
-            fh.write(f"{int(a)} {int(b)}\n")
+        for a, b in g.arcs.tolist():
+            fh.write(f"{a} {b}\n")
 
 
 def write_vertex_csv(g: FaultySectorGraph, path) -> None:
     """CSV dump with columns index, x, y, theta, alive."""
     with open(path, "w") as fh:
         fh.write("index,x,y,theta,alive\n")
-        for k in range(g.realized_count):
-            fh.write(
-                f"{k},{g.positions[k, 0]:.17g},{g.positions[k, 1]:.17g},"
-                f"{g.orientations[k]:.17g},{int(g.alive[k])}\n"
-            )
+        rows = zip(g.positions.tolist(), g.orientations.tolist(), g.alive.tolist())
+        for k, ((x, y), theta, alive) in enumerate(rows):
+            fh.write(f"{k},{x:.17g},{y:.17g},{theta:.17g},{int(alive)}\n")
 
 
 def check_structure(g: FaultySectorGraph) -> None:

@@ -181,9 +181,7 @@ def test_c6_tv_bound_dominates_empirical():
                         )
                         assert rep.truncation_error <= 1e-8
                         assert rep.i1 <= crude + 3 * rep.i1_se, (n, mu, v, q, side)
-                        w = np.array(
-                            [rec.w_counts[f"{ds.descriptor()}|{side}"] for rec in records]
-                        )
+                        w = np.array([rec.w_counts[(ds, side)] for rec in records])
                         emp = sg.empirical_tv(w, rep.ew)
                         boot = sg.empirical_tv_bootstrap_se(w, rep.ew, seed=n)
                         combined = math.hypot(rep.bound_se, boot)

@@ -272,6 +272,17 @@ class TestSimulate:
         )
         assert rc == 1
 
+    def test_report_hist_keys_in_numeric_order(self, tmp_path, capsys):
+        rc = run_cli(
+            "simulate", "--n", "2000", "--alpha", "2pi", "--mu-target", "2.3",
+            "--trials", "40", "--seed", "1", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        hist = json.loads((tmp_path / "report.json").read_text())["max_out_hist"]
+        keys = [int(k) for k in hist]
+        assert "9" in hist and "10" in hist
+        assert keys == sorted(keys)
+
     def test_replay_from_persisted_config(self, tmp_path, capsys):
         rc = run_cli(
             "simulate", "--n", "250", "--alpha", "pi/2", "--mu-target", "1",
@@ -507,6 +518,14 @@ class TestSweep:
         rc = run_cli("sweep", "--n-grid", "100,200", "--r-grid", "0.1", "--trials", "2")
         assert rc == 1
         assert "config error: r_grid: " in capsys.readouterr().err
+
+    def test_unused_n_is_not_validated(self, tmp_path, capsys):
+        rc = run_cli(
+            "sweep", "--n", "0", "--n-grid", "300", "--mu-target", "1",
+            "--trials", "5", "--slack", "1.0", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        assert (tmp_path / "config.txt").read_text().startswith("n = 0\n")
 
     def test_empty_grid_exits_1(self, capsys):
         rc = run_cli("sweep", "--alpha", "pi", "--mu-target", "1")

@@ -104,8 +104,22 @@ class TestRunTrials:
         rec = run_trials(params, 1, options=opts)[0]
         summary = degree_summary(sample_trial(params, 0))
         assert summary.out_degrees.size == rec.alive_count
-        assert rec.w_counts[f"{ds.descriptor()}|out"] == np.count_nonzero(summary.out_degrees >= 2)
+        assert rec.w_counts[(ds, "out")] == np.count_nonzero(summary.out_degrees >= 2)
         assert rec.interior_count is not None and rec.interior_count <= rec.alive_count
+
+    def test_one_trial_rejects_unknown_w_side(self):
+        options = TrialOptions(w_sets=((DegreeSet.upper_tail(2), "total"),))
+        with pytest.raises(ValueError, match="side"):
+            run_one_trial(_params(n=400, mode="poisson"), 0, options)
+
+    def test_max_degree_by_side(self):
+        rec = TrialRecord(
+            trial_index=0, seed=0, realized_count=5, alive_count=5, max_out=3, max_in=2, empty=False
+        )
+        assert (rec.max_degree("out"), rec.max_degree("in")) == (3, 2)
+        for side in ("total", "both"):
+            with pytest.raises(ValueError, match="side"):
+                rec.max_degree(side)
 
     def test_rejects_no_trials(self):
         with pytest.raises(ValueError):
@@ -297,7 +311,7 @@ class TestWCountCrossCheck:
         opts = TrialOptions(w_sets=((ds, "out"), (ds, "in")))
         records = run_trials(params, 1200, options=opts)
         for side in ("out", "in"):
-            w = np.array([rec.w_counts[f"{ds.descriptor()}|{side}"] for rec in records])
+            w = np.array([rec.w_counts[(ds, side)] for rec in records])
             ew, ew_se = expected_count(params, ds, side, samples=20_000)
             se = math.sqrt(np.var(w) / w.size + ew_se**2)
             assert abs(w.mean() - ew) <= 4 * se

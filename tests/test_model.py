@@ -23,7 +23,6 @@ from sectorgraphs.model import (
     ModelParams,
     _degree_arrays,
     check_structure,
-    degree_count,
     degree_summary,
     interior_out_degree_stats,
     sample_graph,
@@ -226,13 +225,13 @@ class TestDegrees:
         params = ModelParams(n=300, alpha=math.pi, r=0.08, v=0.2, q=0.1, master_seed=9)
         g = sample_trial(params, 0)
         s = degree_summary(g)
-        assert degree_count(g, DegreeSet.upper_tail(0), "out") == s.alive_count
-        assert degree_count(g, DegreeSet.finite(()), "out") == 0
-        assert degree_count(g, DegreeSet.upper_tail(s.max_out), "out") >= 1
-        assert degree_count(g, DegreeSet.upper_tail(s.max_in), "in") >= 1
+        assert DegreeSet.upper_tail(0).count_in(s.degrees("out")) == s.alive_count
+        assert DegreeSet.finite(()).count_in(s.degrees("out")) == 0
+        assert DegreeSet.upper_tail(s.max_out).count_in(s.degrees("out")) >= 1
+        assert DegreeSet.upper_tail(s.max_in).count_in(s.degrees("in")) >= 1
         for side in ("total", "both"):
             with pytest.raises(ValueError, match="side"):
-                degree_count(g, DegreeSet.upper_tail(0), side)
+                s.degrees(side)
 
 
 _CHECK_UNDER_O = """
@@ -369,6 +368,20 @@ class TestDumps:
         assert float(y) == g.positions[0, 1]
         assert float(theta) == g.orientations[0]
         assert int(alive) == int(g.alive[0])
+
+    def test_dump_bytes_are_pinned(self, tmp_path):
+        params = ModelParams(n=80, alpha=math.pi, r=0.2, v=0.2, q=0.1, master_seed=23)
+        g = sample_trial(params, 0)
+        write_edge_list(g, tmp_path / "edges.txt")
+        write_vertex_csv(g, tmp_path / "vertices.csv")
+        digests = [
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("edges.txt", "vertices.csv")
+        ]
+        assert digests == [
+            "88ba6e5e895cbb811f26606c3fd30be3c98bafc798ecb607c2195a4da890ee9c",
+            "de8b7e05c2b67209c70588ff41ee7e564065392c86675adaf2cd2c9e83c8badc",
+        ]
 
 
 def test_stream_draw_order_is_documented_contract():
