@@ -23,20 +23,41 @@ _PAIR_CHUNK = 8192
 # ``build_index`` keeps cells of side ``radius`` only while their
 # ``stride**2`` keys are at most ``2 * N`` plus this.
 _TABLE_SLACK = 2**16
+# The low 30 bits of an int64 sort key hold a point index, below ``2**30``.
+_LOW30 = 2**30 - 1
+
+
+def _wrap(t):
+    """``np.mod(t, 2*pi)`` bit for bit on ``[-4*pi, 4*pi)``, NaN kept: ``t + k
+    * 2*pi`` with ``k = (t < 0) + (t < -2*pi) - (t >= 2*pi)``. ``np.mod`` adds
+    ``2*pi`` to a negative exact ``fmod``, here ``t`` or ``t -/+ 2*pi`` by
+    Sterbenz's lemma, so both round ``t + k * 2*pi`` once; zero gives ``+0.0``."""
+    k = (t < 0.0).view(np.int8) + (t < -TWO_PI).view(np.int8) - (t >= TWO_PI).view(np.int8)
+    return t + k * TWO_PI
+
+
+def _check_elevation(elevation) -> np.ndarray:
+    """``elevation`` as a float array, all in ``[0, 2*pi]`` (NaN fails)."""
+    elev = np.asarray(elevation, dtype=float)
+    if elev.size and not (elev.min() >= 0.0 and elev.max() <= TWO_PI):
+        raise ValueError("elevation must lie in [0, 2*pi]")
+    return elev
 
 
 def angle_in_arc(dx, dy, elevation, width):
     """True where the direction of ``(dx, dy)`` lies in ``[elevation, elevation+width) mod 2*pi``.
 
-    Broadcasts over array inputs; ``width`` is a scalar. ``width >= 2*pi``
-    always passes, without evaluating the angle: ``np.mod`` can round a tiny
-    negative relative angle up to exactly ``2*pi``.
+    Broadcasts over array inputs; ``width`` is a scalar. An elevation
+    outside ``[0, 2*pi]``, or NaN, raises ``ValueError``; inside it, the
+    relative angle lies in ``[-3*pi, pi]``, where ``_wrap`` is exact.
+    ``width >= 2*pi`` always passes, without evaluating the angle: the
+    reduction can round a tiny negative relative angle up to ``2*pi``.
     """
+    elev = _check_elevation(elevation)
     if width >= TWO_PI:
-        shape = np.broadcast_shapes(np.shape(dx), np.shape(dy), np.shape(elevation))
+        shape = np.broadcast_shapes(np.shape(dx), np.shape(dy), elev.shape)
         return np.ones(shape, dtype=bool)
-    rel = np.mod(np.arctan2(dy, dx) - elevation, TWO_PI)
-    return rel < width
+    return _wrap(np.arctan2(dy, dx) - elev) < width
 
 
 def points_in_sector(
@@ -119,13 +140,7 @@ def _arc_cuts(centre, start, lines, circles, radius):
             phi = np.arctan2(delta[..., 1], delta[..., 0])
             h = np.arccos(np.hypot(delta[..., 0], delta[..., 1]) / (2.0 * radius))
             cuts += [phi - h, phi + h]
-    wrapped = []
-    for t in cuts:
-        d = t - start
-        # NaN marks a miss; ``np.mod`` takes a slow path on NaN, so skip it.
-        np.mod(d, TWO_PI, out=d, where=~np.isnan(d))
-        wrapped.append(start + d)
-    return wrapped
+    return [start + _wrap(t - start) for t in cuts]
 
 
 def _pieces(lo, hi, cuts):
@@ -155,7 +170,8 @@ def intersection_areas(regions, radius: float) -> np.ndarray:
 
     ``regions`` holds one or two ``(apex_xy, elevation, central_angle)``
     of sectors of radius ``radius``: ``(m, 2)`` apexes, ``(m,)``
-    elevations and one angle each; ``2*pi`` is the disk. The area is the
+    elevations in ``[0, 2*pi]`` (else ``ValueError``) and one angle each;
+    ``2*pi`` is the disk. The area is the
     integral of ``(x dy - y dx) / 2`` over the anticlockwise boundary
     pieces of the shapes (the square first, then the regions) that bound
     the intersection, closed-form for segments and arcs. Each boundary
@@ -190,7 +206,7 @@ def intersection_areas(regions, radius: float) -> np.ndarray:
     ]
     for i, (apex_xy, elevation, angle) in enumerate(regions):
         apex = np.asarray(apex_xy, dtype=float)
-        elev = np.broadcast_to(np.asarray(elevation, dtype=float), (m,))
+        elev = np.broadcast_to(_check_elevation(elevation), (m,))
         ends = (elev, elev + angle)
         sides = angle < TWO_PI
         tips = [apex + radius * _unit(t) for t in ends]
@@ -304,8 +320,8 @@ def build_index(points: np.ndarray, radius: float) -> GridIndex:
     The cells have side ``radius`` while ``stride = floor(1 / radius) + 4``
     fits that budget; otherwise the finest grid that fits, of ``stride =
     isqrt(2 * N + _TABLE_SLACK)`` and side ``1 / (stride - 4) > radius``.
-    One sort of the distinct int64 values ``key * N + i`` gives the keys
-    and their stable order.
+    One sort of the distinct int64 values ``key << 30 | i``, below
+    ``2**62``, gives the keys and their stable order.
     """
     if not radius > 0.0:
         raise ValueError("radius must be positive")
@@ -323,7 +339,8 @@ def build_index(points: np.ndarray, radius: float) -> GridIndex:
     else:
         cell = 1.0 / (stride - 4)
     keys = _cell_keys(xy, cell, stride)
-    keys, order = np.divmod(np.sort(keys * n + np.arange(n, dtype=np.int64)), n)
+    packed = np.sort((keys << 30) | np.arange(n, dtype=np.int64))
+    keys, order = packed >> 30, packed & _LOW30
     return GridIndex(xy, radius, n, keys, order, stride, cell)
 
 
@@ -339,7 +356,7 @@ def ordered_pairs_within(
     excluded.
 
     Order: ascending ``(i, j)``, the natural edge-list order, whatever
-    the grid: the arcs are sorted by the int64 key ``i * N + j``, which
+    the grid: the arcs are sorted by the int64 key ``i << 30 | j``, which
     ``N < 2**30`` keeps below ``2**60``.
 
     Each unordered pair is visited once, from its endpoint earlier in key
@@ -393,8 +410,10 @@ def ordered_pairs_within(
         fwd = angle_in_arc(dx, dy, st[a], alpha)
         rev = angle_in_arc(-dx, -dy, st[b], alpha)
         i, j = order[a], order[b]
-        out.append((i * n + j)[fwd])
-        out.append((j * n + i)[rev])
+        # Several times faster than a boolean index.
+        out.append(np.compress(fwd, (i << 30) | j))
+        out.append(np.compress(rev, (j << 30) | i))
     # Free the key-order copies and the table before the final sort, the peak.
     del sx, sy, st, table
-    return np.divmod(np.sort(np.concatenate(out)), n)
+    arcs = np.sort(np.concatenate(out))
+    return arcs >> 30, arcs & _LOW30

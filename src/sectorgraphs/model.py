@@ -118,7 +118,7 @@ def sample_graph(params: ModelParams, stream: TrialStream) -> FaultySectorGraph:
     )
     i, j = alive_idx[ia], alive_idx[ja]
     if params.q > 0.0:
-        survives = stream.pair_uniforms(i, j) >= params.q
+        survives = np.flatnonzero(stream.pair_uniforms(i, j) >= params.q)
         i, j = i[survives], j[survives]
     arcs = np.stack([i, j], axis=1)
     return FaultySectorGraph(params, realized, positions, orientations, alive, arcs)
@@ -160,16 +160,9 @@ def degree_summary(g: FaultySectorGraph) -> DegreeSummary:
 def interior_out_degree_stats(g: FaultySectorGraph) -> tuple[int, int]:
     """(sum of out-degrees, vertex count) over alive vertices farther than
     ``r`` from every side of the square."""
-    out_all, _ = _degree_arrays(g)
-    r = g.params.r
-    p = g.positions
-    mask = (
-        g.alive
-        & (p[:, 0] > r)
-        & (p[:, 0] < 1.0 - r)
-        & (p[:, 1] > r)
-        & (p[:, 1] < 1.0 - r)
-    )
+    out_all = np.bincount(g.arcs[:, 0], minlength=g.realized_count)
+    r, p = g.params.r, g.positions
+    mask = g.alive & np.all((p > r) & (p < 1.0 - r), axis=1)
     return int(out_all[mask].sum()), int(np.count_nonzero(mask))
 
 

@@ -50,16 +50,15 @@ def derive_key(*parts: int) -> int:
     return h
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = z + np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MULT_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MULT_B)
-    return z ^ (z >> np.uint64(31))
-
-
-def _to_unit(h: np.ndarray) -> np.ndarray:
-    # Top 53 bits -> float64 uniform on [0, 1).
-    return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+def _mix64_array(z: np.ndarray, scratch: np.ndarray) -> None:
+    """``mix64`` of the uint64 array ``z`` in place; ``scratch`` has its shape."""
+    z += np.uint64(_GOLDEN)
+    for shift, mult in ((30, _MULT_A), (27, _MULT_B)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
 
 
 class TrialStream:
@@ -80,11 +79,15 @@ class TrialStream:
 
     def pair_uniforms(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Uniform in [0, 1) for each ordered index pair, independent of call order."""
-        i = np.asarray(i, dtype=np.uint64)
-        j = np.asarray(j, dtype=np.uint64)
-        h = _mix64_array(self._edge_key ^ i)
-        h = _mix64_array(h ^ j)
-        return _to_unit(h)
+        i, j = np.broadcast_arrays(np.asarray(i, dtype=np.uint64), np.asarray(j, dtype=np.uint64))
+        h = np.bitwise_xor(i, self._edge_key, out=np.empty(i.shape, dtype=np.uint64))
+        scratch = np.empty_like(h)
+        _mix64_array(h, scratch)
+        h ^= j
+        _mix64_array(h, scratch)
+        # Top 53 bits -> float64 uniform on [0, 1).
+        h >>= np.uint64(11)
+        return h.astype(np.float64) * 2.0**-53
 
     def pair_uniform(self, i: int, j: int) -> float:
         h = mix64(int(self._edge_key) ^ (int(i) & _MASK64))

@@ -94,7 +94,85 @@ def _index_pairs(pts: np.ndarray, radius: float) -> list[tuple[int, int]]:
     return list(zip(gi.tolist(), gj.tolist()))
 
 
+def _bits_equal(got, want):
+    """Equal values, sign of zero included, and NaN where ``want`` is NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def _mod_2pi(t):
+    with np.errstate(invalid="ignore"):
+        return np.mod(t, TWO_PI)
+
+
+def _neighbours(c, count=50):
+    """``c`` and the ``count`` floats on each side of it."""
+    out, lo, hi = [c], c, c
+    for _ in range(count):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+class TestWrap:
+    """``_wrap`` is ``np.mod(t, 2*pi)`` bit for bit on ``[-4*pi, 4*pi)``."""
+
+    def test_uniform(self):
+        t = np.random.default_rng(41).uniform(-2.0 * TWO_PI, 2.0 * TWO_PI, 10**6)
+        _bits_equal(geometry._wrap(t), _mod_2pi(t))
+
+    def test_around_multiples_of_pi(self):
+        t = [x for k in range(-3, 4) for x in _neighbours(k * math.pi)]
+        # -4*pi and the floats above it; the floats below it lie outside
+        # the domain. The floats below 4*pi are the top of the domain.
+        t += _neighbours(-2.0 * TWO_PI)[::2] + _neighbours(2.0 * TWO_PI)[1::2]
+        t = np.array(t)
+        assert t.min() == -2.0 * TWO_PI and t.max() < 2.0 * TWO_PI
+        _bits_equal(geometry._wrap(t), _mod_2pi(t))
+
+    def test_zeros_subnormals_and_nan(self):
+        t = np.array([0.0, -0.0, 5e-324, -5e-324, math.nan])
+        got = geometry._wrap(t)
+        _bits_equal(got, _mod_2pi(t))
+        assert math.copysign(1.0, got[1]) == 1.0 and np.isnan(got[4])
+
+
 class TestAngleInArc:
+    def test_matches_mod_formula(self):
+        rng = np.random.default_rng(43)
+        dx = np.concatenate(([1.0, 1.0, -1.0, -1.0, 0.0, 0.0], rng.normal(size=2000)))
+        dy = np.concatenate(([1e-20, -1e-20, 1e-20, -1e-20, 1.0, -1.0], rng.normal(size=2000)))
+        elevations = np.array([0.0, 1.0, math.pi, 6.0, np.nextafter(TWO_PI, 0.0), TWO_PI])
+        rel = np.mod(np.arctan2(dy, dx)[:, None] - elevations, TWO_PI)
+        for width in (1e-3, 1.0, math.pi, 5.0):
+            for k, elevation in enumerate(elevations):
+                assert np.array_equal(angle_in_arc(dx, dy, elevation, width), rel[:, k] < width)
+            got = angle_in_arc(dx[:, None], dy[:, None], elevations, width)
+            assert np.array_equal(got, rel < width)
+
+    @pytest.mark.parametrize("bad", [7.0, -1.0, math.nan])
+    def test_rejects_elevation_outside_domain(self, bad):
+        pts = np.array([[0.5, 0.5], [0.52, 0.5]])
+        with pytest.raises(ValueError, match="elevation"):
+            angle_in_arc(1.0, 0.0, bad, 1.0)
+        with pytest.raises(ValueError, match="elevation"):
+            angle_in_arc(np.ones(3), np.zeros(3), np.array([0.0, bad, 1.0]), TWO_PI)
+        with pytest.raises(ValueError, match="elevation"):
+            points_in_sector((0.5, 0.5), bad, math.pi / 2, 0.1, (0.55, 0.55))
+        with pytest.raises(ValueError, match="elevation"):
+            ordered_pairs_within(build_index(pts, 0.1), np.array([bad, 0.0]), math.pi)
+        with pytest.raises(ValueError, match="elevation"):
+            intersection_areas([(pts[:1], np.array([bad]), 1.0)], 0.1)
+
+    def test_accepts_domain_ends(self):
+        pts = np.array([[0.5, 0.5], [0.52, 0.5]])
+        for elevation in (0.0, TWO_PI):
+            assert points_in_sector((0.5, 0.5), elevation, math.pi / 2, 0.1, (0.55, 0.55))
+        got = ordered_pairs_within(build_index(pts, 0.1), np.array([TWO_PI, 0.0]), math.pi)
+        assert [a.tolist() for a in got] == [[0], [1]]
+
     def test_full_circle_matches_extended_precision(self):
         # Width 2*pi is the whole circle, so every direction is inside. For
         # (1, -1e-20) the double-precision relative angle rounds up to 2*pi.
@@ -504,6 +582,14 @@ class TestGridIndex:
         got = _index_pairs(pts, radius)
         assert got == sorted(_scan_pairs(pts, radius))
         assert len(got) == (10 if radius == 1e-10 else 0)
+
+    def test_sort_keys_fit_int64(self):
+        # Arithmetic only: the largest keys at the largest N, with no array.
+        n = 2**30 - 1
+        stride = math.isqrt(2 * n + geometry._TABLE_SLACK)
+        assert geometry._LOW30 == n
+        assert (stride**2 - 1) << 30 | (n - 1) < 2**62
+        assert (n - 1) << 30 | (n - 1) < 2**60
 
     def test_rejects_too_many_points(self):
         # A broadcast view: no memory for 2**30 points is allocated.

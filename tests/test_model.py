@@ -400,6 +400,29 @@ def test_stream_draw_order_is_documented_contract():
     assert stream.pair_uniform(3, 7) == u1[0]
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_pair_uniforms_leave_indices_and_match_reference(dtype):
+    # The hash mixes in place; the callers' index arrays must not change.
+    i = np.array([0, 1, 2**30 - 1, 2**32 + 5, 2**63 - 1], dtype=dtype)
+    j = i[::-1].copy()
+    saved = i.copy(), j.copy()
+    stream = TrialStream(19, 3)
+    u = stream.pair_uniforms(i, j)
+    assert np.array_equal(i, saved[0]) and np.array_equal(j, saved[1])
+    assert u.tolist() == [stream.pair_uniform(a, b) for a, b in zip(i.tolist(), j.tolist())]
+    assert stream.pair_uniforms(i[3], j[3]) == u[3]
+
+
+def test_interior_out_degrees_match_summary():
+    params = ModelParams(n=400, alpha=2.0, r=0.1, v=0.3, q=0.2, master_seed=5)
+    g = sample_trial(params, 0)
+    s = degree_summary(g)
+    p = g.positions[s.alive_indices]
+    inner = np.all((p > params.r) & (p < 1.0 - params.r), axis=1)
+    assert interior_out_degree_stats(g) == (int(s.out_degrees[inner].sum()), int(inner.sum()))
+    assert inner.sum() > 100
+
+
 def _sha256(*arrays: np.ndarray) -> str:
     return hashlib.sha256(b"".join(a.astype("<i8").tobytes() for a in arrays)).hexdigest()
 
