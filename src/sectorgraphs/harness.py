@@ -131,7 +131,7 @@ def run_one_trial(
     if options.w_sets:
         rec.w_counts = {(ds, side): ds.count_in(summary.degrees(side)) for ds, side in options.w_sets}
     if options.interior_degrees:
-        rec.interior_sum, rec.interior_count = interior_out_degree_stats(g)
+        rec.interior_sum, rec.interior_count = interior_out_degree_stats(summary, g.positions, params.r)
     return rec
 
 
@@ -294,7 +294,8 @@ def sweep(
     ``r`` None, and does not abort the rest; any other error propagates.
 
     The radius schedule is either fixed mean degree (``mu_target``) or an
-    explicit ``r_list`` aligned with ``n_grid``.
+    explicit ``r_list`` aligned with ``n_grid``. Every ``n`` (>= 1) and every
+    listed ``r`` (in ``(0, 0.5)``) is checked before the first trial.
     """
     if not n_grid:
         raise ValueError("n_grid must be nonempty")
@@ -302,6 +303,10 @@ def sweep(
         raise ValueError("exactly one of mu_target / r_list is required")
     if r_list is not None and len(r_list) != len(n_grid):
         raise ValueError("r_list must align with n_grid")
+    if any(n < 1 for n in n_grid):
+        raise ValueError("n_grid: every n must be >= 1")
+    if r_list is not None and not all(0 < r < 0.5 for r in r_list):
+        raise ValueError("r_list: every r must lie in (0, 0.5)")
     points: list[SweepPoint] = []
     for pos, n in enumerate(n_grid):
         try:

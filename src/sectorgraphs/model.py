@@ -59,7 +59,7 @@ class ModelParams:
             raise ValueError("q must lie in [0, 1)")
         if self.mode not in MODES:
             raise ValueError("mode must be 'binomial' or 'poisson'")
-        if not (0 <= int(self.master_seed) < 2**64):
+        if not (isinstance(self.master_seed, (int, np.integer)) and 0 <= self.master_seed < 2**64):
             raise ValueError("master_seed must be an unsigned 64-bit integer")
 
     def with_mode(self, mode: str) -> "ModelParams":
@@ -112,9 +112,11 @@ def sample_graph(params: ModelParams, stream: TrialStream) -> FaultySectorGraph:
     alive = gen.random(realized) < 1.0 - params.v
 
     # Dead vertices neither send nor receive, so index only the alive ones.
+    # ``np.take`` gathers the rows of ``positions`` faster than ``positions[alive_idx]``;
+    # the index is a temporary, so its arrays are freed before the fault hashes.
     alive_idx = np.nonzero(alive)[0]
     ia, ja = ordered_pairs_within(
-        build_index(positions[alive_idx], params.r), orientations[alive_idx], params.alpha
+        build_index(np.take(positions, alive_idx, axis=0), params.r), orientations[alive_idx], params.alpha
     )
     i, j = alive_idx[ia], alive_idx[ja]
     if params.q > 0.0:
@@ -129,41 +131,32 @@ def sample_trial(params: ModelParams, trial_index: int) -> FaultySectorGraph:
     return sample_graph(params, TrialStream(params.master_seed, trial_index))
 
 
-def _degree_arrays(g: FaultySectorGraph) -> tuple[np.ndarray, np.ndarray]:
-    n = g.realized_count
-    out_all = np.bincount(g.arcs[:, 0], minlength=n)
-    in_all = np.bincount(g.arcs[:, 1], minlength=n)
-    return out_all, in_all
-
-
 def degree_summary(g: FaultySectorGraph) -> DegreeSummary:
-    """Out/in degree of every alive vertex plus the maxima.
+    """Out/in degree of every alive vertex plus the maxima; the one place
+    that counts a graph's arcs.
 
     An empty alive set reports maxima 0 with the ``empty`` flag set.
     """
-    out_all, in_all = _degree_arrays(g)
     alive_idx = np.nonzero(g.alive)[0]
-    out_deg = out_all[alive_idx]
-    in_deg = in_all[alive_idx]
-    empty = alive_idx.size == 0
+    out_deg = np.bincount(g.arcs[:, 0], minlength=g.realized_count)[alive_idx]
+    in_deg = np.bincount(g.arcs[:, 1], minlength=g.realized_count)[alive_idx]
     return DegreeSummary(
         alive_indices=alive_idx,
         out_degrees=out_deg,
         in_degrees=in_deg,
-        max_out=0 if empty else int(out_deg.max()),
-        max_in=0 if empty else int(in_deg.max()),
+        max_out=int(out_deg.max(initial=0)),
+        max_in=int(in_deg.max(initial=0)),
         alive_count=int(alive_idx.size),
-        empty=empty,
+        empty=alive_idx.size == 0,
     )
 
 
-def interior_out_degree_stats(g: FaultySectorGraph) -> tuple[int, int]:
-    """(sum of out-degrees, vertex count) over alive vertices farther than
-    ``r`` from every side of the square."""
-    out_all = np.bincount(g.arcs[:, 0], minlength=g.realized_count)
-    r, p = g.params.r, g.positions
-    mask = g.alive & np.all((p > r) & (p < 1.0 - r), axis=1)
-    return int(out_all[mask].sum()), int(np.count_nonzero(mask))
+def interior_out_degree_stats(summary: DegreeSummary, positions: np.ndarray, r: float) -> tuple[int, int]:
+    """(sum of out-degrees, vertex count) over the alive vertices of
+    ``summary`` farther than ``r`` from every side of the square."""
+    p = positions[summary.alive_indices]
+    inner = np.all((p > r) & (p < 1.0 - r), axis=1)
+    return int(summary.out_degrees[inner].sum()), int(np.count_nonzero(inner))
 
 
 def write_edge_list(g: FaultySectorGraph, path) -> None:

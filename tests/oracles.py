@@ -3,8 +3,9 @@
 ``poisson_tail_mp`` sums the Poisson law term by term in extended
 precision. ``brute_force_graph`` rebuilds a realization from the same
 per-trial stream but derives the arc set by a full O(n^2) pairwise scan,
-with no spatial index involved. ``eager_points_in_sector`` runs the arc
-test on every point. ``sampled_clipped_areas`` and
+with no spatial index involved. ``arcs_interior_out_degrees`` counts the
+interior out-degrees from a graph's arcs. ``eager_points_in_sector`` runs
+the arc test on every point. ``sampled_clipped_areas`` and
 ``sampled_decomposition`` estimate the bound's region areas by plain
 Monte Carlo, with binomial standard errors.
 """
@@ -80,6 +81,15 @@ def brute_force_graph(params: ModelParams, trial_index: int):
 
 def brute_force_degrees(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return adj.sum(axis=1).astype(np.int64), adj.sum(axis=0).astype(np.int64)
+
+
+def arcs_interior_out_degrees(g) -> tuple[int, int]:
+    """(sum of out-degrees, vertex count) over the alive vertices of graph
+    ``g`` farther than ``r`` from every side, counted from its arcs."""
+    out_all = np.bincount(g.arcs[:, 0], minlength=g.realized_count)
+    r, p = g.params.r, g.positions
+    mask = g.alive & np.all((p > r) & (p < 1.0 - r), axis=1)
+    return int(out_all[mask].sum()), int(np.count_nonzero(mask))
 
 
 def chi2_gof(observed: np.ndarray, probs: np.ndarray) -> tuple[float, int]:

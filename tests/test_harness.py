@@ -28,7 +28,7 @@ from sectorgraphs.theory import (
     radius_for_mean_degree,
 )
 
-from oracles import brute_force_degrees, brute_force_graph
+from oracles import arcs_interior_out_degrees, brute_force_degrees, brute_force_graph
 
 
 def _params(n=500, mu=1.0, v=0.1, q=0.2, mode="binomial", seed=1234):
@@ -106,6 +106,26 @@ class TestRunTrials:
         assert summary.out_degrees.size == rec.alive_count
         assert rec.w_counts[(ds, "out")] == np.count_nonzero(summary.out_degrees >= 2)
         assert rec.interior_count is not None and rec.interior_count <= rec.alive_count
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ModelParams(n=5, alpha=math.pi, r=0.1, v=0.999999, q=0.2, master_seed=3),
+            ModelParams(n=1, alpha=math.pi, r=0.1, v=0.0, q=0.0, master_seed=3),
+            ModelParams(n=300, alpha=2 * math.pi, r=0.08, v=0.1, q=0.2, master_seed=3),
+            ModelParams(n=300, alpha=1.3, r=0.08, v=0.1, q=0.0, master_seed=3),
+            _params(n=2000, mode="poisson", seed=3),
+        ],
+        ids=["empty", "one-vertex", "full-disk", "no-faults", "poisson-2000"],
+    )
+    def test_interior_degrees_match_arcs(self, params):
+        rec = run_one_trial(params, 0, TrialOptions(interior_degrees=True))
+        g = sample_trial(params, 0)
+        assert (rec.interior_sum, rec.interior_count) == arcs_interior_out_degrees(g)
+        if params.n == 5:
+            assert rec.alive_count == 0 and rec.interior_count == 0
+        if params.n == 1:
+            assert rec.interior_count == 1
 
     def test_one_trial_rejects_unknown_w_side(self):
         options = TrialOptions(w_sets=((DegreeSet.upper_tail(2), "total"),))
@@ -241,6 +261,16 @@ class TestSweep:
             verify(_params(), 300, sides=(side,))
         with pytest.raises(ValueError, match="side"):
             sweep(_params(), [300], trials=300, mu_target=1.0, sides=("out", side))
+
+    def test_rejects_bad_grid_before_any_trial(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_one_trial", None)  # no trial may start
+        for r_list in ([0.05, 0.7], [0.05, 0.0], [0.5, 0.05]):
+            with pytest.raises(ValueError, match="r_list"):
+                sweep(_params(), [300, 400], trials=3, r_list=r_list)
+        with pytest.raises(ValueError, match="n_grid"):
+            sweep(_params(), [300, 0], trials=3, mu_target=1.0)
+        with pytest.raises(ValueError, match="n_grid"):
+            sweep(_params(), [300, 0], trials=3, r_list=[0.05, 0.05])
 
     def test_requires_schedule(self):
         params = _params()

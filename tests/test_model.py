@@ -21,7 +21,6 @@ from sectorgraphs.geometry import (
 )
 from sectorgraphs.model import (
     ModelParams,
-    _degree_arrays,
     check_structure,
     degree_summary,
     interior_out_degree_stats,
@@ -33,7 +32,7 @@ from sectorgraphs.model import (
 from sectorgraphs.randomness import TrialStream
 from sectorgraphs.theory import mean_degree, radius_for_mean_degree
 
-from oracles import brute_force_degrees, brute_force_graph, chi2_gof
+from oracles import arcs_interior_out_degrees, brute_force_degrees, brute_force_graph, chi2_gof
 
 
 class TestParams:
@@ -52,16 +51,25 @@ class TestParams:
         with pytest.raises(ValueError, match="mode"):
             ModelParams(**{**good, "mode": "exact"})
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, -1, 2**64, "3"])
+    def test_rejects_seed_that_is_not_an_unsigned_64_bit_integer(self, seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            ModelParams(n=10, alpha=math.pi, r=0.1, v=0.1, q=0.1, master_seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**63)])
+    def test_accepts_unsigned_64_bit_integer_seed(self, seed):
+        assert ModelParams(n=10, alpha=math.pi, r=0.1, v=0.1, q=0.1, master_seed=seed).master_seed == seed
+
 
 def _assert_arcless(g):
     """Checks of a graph without arcs; returns its summary. Such graphs go
     through the same index and pair kernel as any other."""
     assert g.arcs.shape == (0, 2) and g.arcs.dtype == np.int64
-    for degrees in _degree_arrays(g):
-        assert degrees.dtype == np.int64
-        assert np.array_equal(degrees, np.zeros(g.realized_count, dtype=np.int64))
     check_structure(g)
     s = degree_summary(g)
+    for side in ("out", "in"):
+        assert s.degrees(side).dtype == np.int64
+        assert np.array_equal(s.degrees(side), np.zeros(s.alive_count, dtype=np.int64))
     assert s.max_out == s.max_in == 0
     assert s.empty == (s.alive_count == 0)
     return s
@@ -310,7 +318,7 @@ class TestStatistics:
         means = []
         for t in range(trials):
             g = sample_trial(params, t)
-            total, count = interior_out_degree_stats(g)
+            total, count = interior_out_degree_stats(degree_summary(g), g.positions, params.r)
             means.append(total / count)
         got = float(np.mean(means))
         se = float(np.std(means) / math.sqrt(trials))
@@ -416,11 +424,9 @@ def test_pair_uniforms_leave_indices_and_match_reference(dtype):
 def test_interior_out_degrees_match_summary():
     params = ModelParams(n=400, alpha=2.0, r=0.1, v=0.3, q=0.2, master_seed=5)
     g = sample_trial(params, 0)
-    s = degree_summary(g)
-    p = g.positions[s.alive_indices]
-    inner = np.all((p > params.r) & (p < 1.0 - params.r), axis=1)
-    assert interior_out_degree_stats(g) == (int(s.out_degrees[inner].sum()), int(inner.sum()))
-    assert inner.sum() > 100
+    total, count = arcs_interior_out_degrees(g)
+    assert interior_out_degree_stats(degree_summary(g), g.positions, params.r) == (total, count)
+    assert count > 100
 
 
 def _sha256(*arrays: np.ndarray) -> str:
