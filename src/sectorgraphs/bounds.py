@@ -74,7 +74,12 @@ class TVBoundReport:
     bound_se: float
 
 
-def _check_samples(**counts: int) -> None:
+def _check_inputs(params: ModelParams, side: str, **counts: int) -> None:
+    """Reject, before any sampling, an unknown side, a mode other than
+    Poisson (the bound's intensity is ``n``) and a sample count below 1."""
+    check_side(side)
+    if params.mode != "poisson":
+        raise ValueError(f"the bound needs Poisson mode, got mode {params.mode!r}")
     for name, count in counts.items():
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
@@ -107,8 +112,7 @@ def expected_count(
     average over ``samples`` locations (and orientations) is Monte Carlo,
     seeded from ``params.master_seed``, the side and the degree set.
     """
-    check_side(side)
-    _check_samples(samples=samples)
+    _check_inputs(params, side, samples=samples)
     rng = substream(_seed_for(params, _DOM_EW, side, degree_set))
     lam = float(params.n)
     thin = lam * (1.0 - params.q) * (1.0 - params.v)
@@ -231,8 +235,7 @@ def tv_bound(
     are exact, so ``area_samples`` is ignored; it stays accepted for
     existing callers.
     """
-    check_side(side)
-    _check_samples(outer_samples=outer_samples, ew_samples=ew_samples)
+    _check_inputs(params, side, outer_samples=outer_samples, ew_samples=ew_samples)
     rng = substream(_seed_for(params, _DOM_TV, side, degree_set))
     lam = float(params.n)
     r = params.r

@@ -7,6 +7,7 @@ total-variation bound integrands.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +25,11 @@ class DegreeSet:
 
     @classmethod
     def upper_tail(cls, threshold: int) -> "DegreeSet":
-        return cls(kind="tail", threshold=max(int(threshold), 0))
+        return cls(kind="tail", threshold=max(operator.index(threshold), 0))
 
     @classmethod
     def finite(cls, values) -> "DegreeSet":
-        vals = frozenset(int(v) for v in values)
+        vals = frozenset(operator.index(v) for v in values)
         if any(v < 0 for v in vals):
             raise ValueError("degree sets contain nonnegative integers only")
         return cls(kind="finite", members=vals)

@@ -294,8 +294,8 @@ def sweep(
     ``r`` None, and does not abort the rest; any other error propagates.
 
     The radius schedule is either fixed mean degree (``mu_target``) or an
-    explicit ``r_list`` aligned with ``n_grid``. Every ``n`` (>= 1) and every
-    listed ``r`` (in ``(0, 0.5)``) is checked before the first trial.
+    explicit ``r_list`` aligned with ``n_grid``. Every ``n`` (an integer >= 1)
+    and every listed ``r`` (in ``(0, 0.5)``) is checked before the first trial.
     """
     if not n_grid:
         raise ValueError("n_grid must be nonempty")
@@ -303,8 +303,8 @@ def sweep(
         raise ValueError("exactly one of mu_target / r_list is required")
     if r_list is not None and len(r_list) != len(n_grid):
         raise ValueError("r_list must align with n_grid")
-    if any(n < 1 for n in n_grid):
-        raise ValueError("n_grid: every n must be >= 1")
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in n_grid):
+        raise ValueError("n_grid: every n must be an integer >= 1")
     if r_list is not None and not all(0 < r < 0.5 for r in r_list):
         raise ValueError("r_list: every r must lie in (0, 0.5)")
     points: list[SweepPoint] = []
@@ -315,11 +315,11 @@ def sweep(
                 if mu_target is not None
                 else r_list[pos]
             )
-            p = replace(params, n=int(n), r=r)
+            p = replace(params, n=n, r=r)
             report, _ = verify(p, trials, slack=slack, parallelism=parallelism, sides=sides)
-            points.append(SweepPoint(n=int(n), r=r, report=report))
+            points.append(SweepPoint(n=n, r=r, report=report))
         except (RadiusOutOfRange, NoFocusingIndex) as exc:
-            points.append(SweepPoint(n=int(n), r=None, error=str(exc)))
+            points.append(SweepPoint(n=n, r=None, error=str(exc)))
     return points
 
 

@@ -18,6 +18,8 @@ Draw-order contract for one trial (see ``model.sample_graph``):
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -42,23 +44,22 @@ def derive_key(*parts: int) -> int:
     """Chain-mix integer parts into one 64-bit key.
 
     ``h_0 = 0`` and ``h_{t+1} = mix64(h_t XOR part_t)``; the order of parts
-    is significant.
+    is significant, and a part that is not an integer raises ``TypeError``.
     """
     h = 0
     for p in parts:
-        h = mix64(h ^ (int(p) & _MASK64))
+        h = mix64(h ^ (operator.index(p) & _MASK64))
     return h
 
 
-def _mix64_array(z: np.ndarray, scratch: np.ndarray) -> None:
-    """``mix64`` of the uint64 array ``z`` in place; ``scratch`` has its shape."""
-    z += np.uint64(_GOLDEN)
-    for shift, mult in ((30, _MULT_A), (27, _MULT_B)):
-        np.right_shift(z, np.uint64(shift), out=scratch)
-        z ^= scratch
-        z *= np.uint64(mult)
-    np.right_shift(z, np.uint64(31), out=scratch)
-    z ^= scratch
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """``mix64`` of each element of the uint64 array ``z``, as a new array."""
+    # A 0-d input makes numpy scalars, whose wrap-around would warn.
+    with np.errstate(over="ignore"):
+        z = z + np.uint64(_GOLDEN)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MULT_A)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MULT_B)
+    return z ^ (z >> np.uint64(31))
 
 
 class TrialStream:
@@ -69,25 +70,16 @@ class TrialStream:
     """
 
     def __init__(self, master_seed: int, trial_index: int):
-        self.master_seed = int(master_seed) & _MASK64
-        self.trial_index = int(trial_index)
-        self.trial_seed = derive_key(self.master_seed, self.trial_index, _DOMAIN_TRIAL)
-        self._edge_key = np.uint64(
-            derive_key(self.master_seed, self.trial_index, _DOMAIN_EDGE)
-        )
+        self.trial_seed = derive_key(master_seed, trial_index, _DOMAIN_TRIAL)
+        self._edge_key = np.uint64(derive_key(master_seed, trial_index, _DOMAIN_EDGE))
         self.generator = np.random.Generator(np.random.PCG64(self.trial_seed))
 
     def pair_uniforms(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Uniform in [0, 1) for each ordered index pair, independent of call order."""
-        i, j = np.broadcast_arrays(np.asarray(i, dtype=np.uint64), np.asarray(j, dtype=np.uint64))
-        h = np.bitwise_xor(i, self._edge_key, out=np.empty(i.shape, dtype=np.uint64))
-        scratch = np.empty_like(h)
-        _mix64_array(h, scratch)
-        h ^= j
-        _mix64_array(h, scratch)
+        i, j = np.asarray(i, dtype=np.uint64), np.asarray(j, dtype=np.uint64)
+        h = _mix64_array(_mix64_array(i ^ self._edge_key) ^ j)
         # Top 53 bits -> float64 uniform on [0, 1).
-        h >>= np.uint64(11)
-        return h.astype(np.float64) * 2.0**-53
+        return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def pair_uniform(self, i: int, j: int) -> float:
         h = mix64(int(self._edge_key) ^ (int(i) & _MASK64))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import sampled_decomposition
-from sectorgraphs import poisson
+from sectorgraphs import bounds, poisson
 from sectorgraphs.bounds import (
     TruncationBudgetExceeded,
     decompose_regions,
@@ -55,6 +55,12 @@ class TestExpectedCount:
         strip = 10**4 * poisson.upper_tail(mu_bar, 3) * 8 * 0.01
         assert ew <= closed + 4 * se
         assert abs(ew - closed) <= 4 * se + strip
+
+    def test_binomial_params_rejected(self, monkeypatch):
+        monkeypatch.setattr(bounds, "substream", None)  # no sample may be drawn
+        params = ModelParams(n=300, alpha=math.pi, r=0.05, v=0.1, q=0.2, mode="binomial")
+        with pytest.raises(ValueError, match="Poisson mode"):
+            expected_count(params, DegreeSet.upper_tail(3), "out")
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_zero_samples_rejected(self, samples):
@@ -311,6 +317,16 @@ class TestPoissonProb:
         assert np.all(got == 1.0)
 
 
+def test_degree_sets_take_integers_only():
+    # {j >= 2.7} would be {j >= 3}: a float is refused rather than truncated.
+    with pytest.raises(TypeError):
+        DegreeSet.upper_tail(2.7)
+    with pytest.raises(TypeError):
+        DegreeSet.finite([1.5, 2])
+    assert DegreeSet.upper_tail(np.int64(3)) == DegreeSet.upper_tail(3)
+    assert DegreeSet.finite(np.arange(3)) == DegreeSet.finite([0, 1, 2])
+
+
 @pytest.fixture(scope="module")
 def small_config():
     n = 800
@@ -376,6 +392,12 @@ class TestTvBound:
             tv_bound(small_config, ds, side, outer_samples=10, ew_samples=10)
         with pytest.raises(ValueError, match="side"):
             expected_count(small_config, ds, side, samples=10)
+
+    def test_binomial_params_rejected(self, monkeypatch, small_config):
+        monkeypatch.setattr(bounds, "substream", None)  # no sample may be drawn
+        params = dataclasses.replace(small_config, mode="binomial")
+        with pytest.raises(ValueError, match="Poisson mode"):
+            tv_bound(params, DegreeSet.upper_tail(3), "in")
 
     @pytest.mark.parametrize("name", ["outer_samples", "ew_samples"])
     def test_zero_samples_rejected(self, small_config, name):

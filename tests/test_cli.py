@@ -189,11 +189,39 @@ class TestPredict:
             (["--mu-target", "200"], "mu_target 200.0 needs r ="),  # RadiusOutOfRange
             (["--r", "0.1", "--v", "0.999"], "n*(1-v) = 0.1 must exceed 1"),  # NoFocusingIndex
             (["--mu-target", "1", "--epsilon", "nan"], "epsilon: must be finite and > 0"),
+            (["--mu-target", "1", "--parallelism", "0"], "parallelism: must be >= 1"),
+            (["--mu-target", "1", "--trunc-cap", "1"], "trunc_cap: must lie in (0, 1)"),
+            (["--mu-target", "5e-324"], "r must lie in (0, 0.5)"),  # the radius underflows to 0
         ],
     )
     def test_user_input_errors_exit_1(self, args, message, capsys):
         assert run_cli("predict", "--n", "100", *args) == 1
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["predict", "--n", "100", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+            ([], "the following arguments are required: command"),
+            (["frobnicate"], "invalid choice"),
+            (["predict", "--n"], "argument --n: expected one argument"),
+        ],
+    )
+    def test_argument_errors_exit_1(self, argv, message, capsys):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_regime_warning_printed(self, capsys):
+        assert run_cli("predict", "--n", "100", "--mu-target", "0.001") == 0
+        assert "warning: mu = 0.001 < 0.01" in capsys.readouterr().out
+
+    def test_config_line_without_equals_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.txt"
+        path.write_text("n = 100\nmu_target 1\n")
+        assert run_cli("predict", "--config", str(path)) == 1
+        assert "config error: line 2: expected 'key = value'" in capsys.readouterr().err
 
     def test_config_file_not_text_exits_1(self, tmp_path, capsys):
         path = tmp_path / "config.txt"
@@ -526,6 +554,26 @@ class TestSweep:
         )
         assert rc == 0
         assert (tmp_path / "config.txt").read_text().startswith("n = 0\n")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--mu-target", "1", "--mode", "both"], "mode: sweep needs a single mode"),
+            ([], "sweep needs exactly one of 'mu_target' or 'r_grid'"),
+        ],
+    )
+    def test_schedule_and_mode_errors_exit_1(self, args, message, capsys):
+        assert run_cli("sweep", "--n-grid", "100", "--trials", "2", *args) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_only_point_failing_exits_2(self, tmp_path, capsys):
+        rc = run_cli(
+            "sweep", "--n-grid", "300", "--mu-target", "1", "--trials", "5",
+            "--slack", "0", "--seed", "1", "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert "sweep: 1 of 1 points failed" in capsys.readouterr().err
+        assert (tmp_path / "summary.csv").read_text().splitlines()[1].endswith(",FAIL")
 
     def test_empty_grid_exits_1(self, capsys):
         rc = run_cli("sweep", "--alpha", "pi", "--mu-target", "1")

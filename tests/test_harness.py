@@ -272,6 +272,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="n_grid"):
             sweep(_params(), [300, 0], trials=3, r_list=[0.05, 0.05])
 
+    def test_rejects_non_integer_n_before_any_trial(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_one_trial", None)  # no trial may start
+        with pytest.raises(ValueError, match="n_grid"):
+            sweep(_params(), [300.7], trials=3, r_list=[0.05])
+
+    def test_rejects_misaligned_r_list(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_one_trial", None)  # no trial may start
+        with pytest.raises(ValueError, match="r_list must align"):
+            sweep(_params(), [300, 400], trials=3, r_list=[0.05])
+
     def test_requires_schedule(self):
         params = _params()
         with pytest.raises(ValueError):

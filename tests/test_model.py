@@ -29,7 +29,7 @@ from sectorgraphs.model import (
     write_edge_list,
     write_vertex_csv,
 )
-from sectorgraphs.randomness import TrialStream
+from sectorgraphs.randomness import TrialStream, substream
 from sectorgraphs.theory import mean_degree, radius_for_mean_degree
 
 from oracles import arcs_interior_out_degrees, brute_force_degrees, brute_force_graph, chi2_gof
@@ -410,7 +410,7 @@ def test_stream_draw_order_is_documented_contract():
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
 def test_pair_uniforms_leave_indices_and_match_reference(dtype):
-    # The hash mixes in place; the callers' index arrays must not change.
+    # The hash must leave the callers' index arrays as they were.
     i = np.array([0, 1, 2**30 - 1, 2**32 + 5, 2**63 - 1], dtype=dtype)
     j = i[::-1].copy()
     saved = i.copy(), j.copy()
@@ -419,6 +419,15 @@ def test_pair_uniforms_leave_indices_and_match_reference(dtype):
     assert np.array_equal(i, saved[0]) and np.array_equal(j, saved[1])
     assert u.tolist() == [stream.pair_uniform(a, b) for a, b in zip(i.tolist(), j.tolist())]
     assert stream.pair_uniforms(i[3], j[3]) == u[3]
+
+
+def test_stream_takes_integers_only():
+    # A float seed or trial index raises instead of naming another trial.
+    params = ModelParams(n=20, alpha=math.pi, r=0.1, v=0.1, q=0.2, master_seed=3)
+    for make in (lambda: TrialStream(3, 2.5), lambda: sample_trial(params, 2.9), lambda: substream(1.5)):
+        with pytest.raises(TypeError):
+            make()
+    assert TrialStream(np.uint64(3), np.int64(2)).trial_seed == TrialStream(3, 2).trial_seed
 
 
 def test_interior_out_degrees_match_summary():
