@@ -6,6 +6,7 @@ prediction with exact binomial confidence intervals. The comparison is
 asymptotic in nature, so the verdict uses a stated finite-size slack.
 """
 
+import dataclasses
 import math
 import time
 
@@ -23,7 +24,7 @@ print(f"n = {N}, r = {r:.5f}, predicted pair ({pred.k - 1}, {pred.k}), "
 
 for mode in ("poisson", "binomial"):
     start = time.perf_counter()
-    records = run_trials(params.with_mode(mode), TRIALS, parallelism=2)
+    records = run_trials(dataclasses.replace(params, mode=mode), TRIALS, parallelism=2)
     report = compare(records, pred, slack=0.08, params=params)
     print(f"{mode} mode, {TRIALS} trials in {time.perf_counter() - start:.1f}s")
     for side, sc in report.sides.items():

@@ -78,7 +78,7 @@ def _persist(cfg: RunConfig, out: Path, payload: dict) -> None:
     )
 
 
-def cmd_predict(cfg: RunConfig) -> int:
+def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
     validate_config(cfg)
     params = resolve_params(cfg, cfg.modes()[0])
     pred = predict(params)
@@ -101,7 +101,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     validate_config(cfg)
     if cfg.mode == "both":
         raise ConfigError("mode: simulate needs a single mode")
@@ -143,13 +143,15 @@ def _selftest_records(pred: FocusingPrediction, trials: int) -> list[TrialRecord
     return records
 
 
-def cmd_verify(cfg: RunConfig, selftest: bool = False, override_k: int | None = None) -> int:
+def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     validate_config(cfg)
+    if args.override_k is not None and args.override_k < 1:
+        raise ConfigError(f"override_k: must be at least 1, got {args.override_k}")
     params0 = resolve_params(cfg, cfg.modes()[0])
-    pred = predict(params0, k=override_k)
+    pred = predict(params0, k=args.override_k)
     out = _out_dir(cfg)
     reports = {}
-    if selftest:
+    if args.selftest:
         records = _selftest_records(pred, cfg.trials)
         reports["selftest"] = compare(records, pred, cfg.slack, params=params0, sides=cfg.sides())
         write_trials_csv(records, out / "trials.csv")
@@ -180,7 +182,7 @@ def cmd_verify(cfg: RunConfig, selftest: bool = False, override_k: int | None = 
     return 0 if all_pass else 2
 
 
-def cmd_bound(cfg: RunConfig, with_empirical: bool = False) -> int:
+def cmd_bound(cfg: RunConfig, args: argparse.Namespace) -> int:
     validate_config(cfg)
     # The bound is a Poisson-mode bound; ``config.txt`` records that mode.
     cfg = dataclasses.replace(cfg, mode="poisson")
@@ -188,7 +190,7 @@ def cmd_bound(cfg: RunConfig, with_empirical: bool = False) -> int:
     descriptors = cfg.a_sets or (f"tail:{predict(params).k}",)
     pairs = [(DegreeSet.parse(d), side) for d in descriptors for side in cfg.sides()]
     records = None
-    if with_empirical:
+    if args.with_empirical:
         records = run_trials(
             params,
             cfg.trials,
@@ -222,7 +224,7 @@ def cmd_bound(cfg: RunConfig, with_empirical: bool = False) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not cfg.n_grid:
         raise ConfigError("n_grid: must be nonempty for sweep")
     # A sweep never runs ``cfg.n``; its largest run is ``max(n_grid)``.
@@ -303,14 +305,12 @@ def _build_parser() -> _Parser:
             flag = "--" + f.name.replace("_", "-")
             common.add_argument(flag, dest=f.name, help=_FLAG_HELP.get(f.name))
 
-    sub.add_parser("predict", parents=[common])
-    sub.add_parser("simulate", parents=[common])
-    p_verify = sub.add_parser("verify", parents=[common])
-    p_verify.add_argument("--selftest", action="store_true")
-    p_verify.add_argument("--override-k", dest="override_k", type=int)
-    p_bound = sub.add_parser("bound", parents=[common])
-    p_bound.add_argument("--with-empirical", dest="with_empirical", action="store_true")
-    sub.add_parser("sweep", parents=[common])
+    for name, run in (("predict", cmd_predict), ("simulate", cmd_simulate), ("verify", cmd_verify),
+                      ("bound", cmd_bound), ("sweep", cmd_sweep)):
+        sub.add_parser(name, parents=[common]).set_defaults(run=run)
+    sub.choices["verify"].add_argument("--selftest", action="store_true")
+    sub.choices["verify"].add_argument("--override-k", dest="override_k", type=int)
+    sub.choices["bound"].add_argument("--with-empirical", dest="with_empirical", action="store_true")
     return parser
 
 
@@ -333,18 +333,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-        if args.command == "predict":
-            return cmd_predict(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, selftest=args.selftest, override_k=args.override_k)
-        if args.command == "bound":
-            return cmd_bound(cfg, with_empirical=args.with_empirical)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(_config_from_args(args), args)
     except (ConfigError, RadiusOutOfRange, NoFocusingIndex) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

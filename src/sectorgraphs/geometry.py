@@ -10,7 +10,7 @@ itself is excluded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -286,74 +286,62 @@ def clipped_sector_areas(
     return areas
 
 
-@dataclass
-class GridIndex:
-    """Points sorted by grid cell, for sector arcs by key ranges.
-
-    ``points`` is the ``(N, 2)`` array the index was built from (not a
-    copy), ``radius`` the arc distance and ``_cell`` the side of the
-    square cells, ``radius`` or more. Cell ``(cx, cy)`` has the int64 key
-    ``(cx + 1) * stride + cy + 1``, so the cell above is ``key + 1`` and
-    the next column starts at ``key + stride``. ``_keys`` holds every
-    point's key in ascending order and ``_order`` the point index at each
-    key position; points of one cell keep their input order.
-    """
-
-    points: np.ndarray = field(repr=False)
-    radius: float
-    count: int
-    _keys: np.ndarray = field(repr=False)
-    _order: np.ndarray = field(repr=False)
-    _stride: int = field(repr=False)
-    _cell: float = field(repr=False)
-
-
 def _cell_keys(points: np.ndarray, cell_size: float, stride: int) -> np.ndarray:
     cells = np.floor(points / cell_size).astype(np.int64)
     return (cells[:, 0] + 1) * stride + (cells[:, 1] + 1)
 
 
-def build_index(points: np.ndarray, radius: float) -> GridIndex:
-    """Index an ``(N, 2)`` array of points of ``[0, 1]^2``, ``N < 2**30``,
-    on a grid of ``stride**2 <= 2 * N + _TABLE_SLACK`` keys.
+def build_index(points: np.ndarray, ids: np.ndarray, radius: float):
+    """Index the points ``points[ids]`` of ``[0, 1]^2``: ``points`` is an
+    ``(N, 2)`` array with ``N < 2**30`` and ``ids`` strictly ascends in
+    ``[0, N)``. Returns ``(keys, order, stride, cell)``.
 
-    The cells have side ``radius`` while ``stride = floor(1 / radius) + 4``
-    fits that budget; otherwise the finest grid that fits, of ``stride =
-    isqrt(2 * N + _TABLE_SLACK)`` and side ``1 / (stride - 4) > radius``.
-    One sort of the distinct int64 values ``key << 30 | i``, below
+    Cell ``(cx, cy)`` of side ``cell`` has the int64 key ``(cx + 1) *
+    stride + cy + 1``, so the cell above is ``key + 1`` and the next
+    column starts at ``key + stride``. ``keys`` holds every indexed
+    point's key in ascending order and ``order`` the id at each key
+    position; the ids of one cell keep their ascending order. The grid
+    has ``stride**2 <= 2 * len(ids) + _TABLE_SLACK`` keys: cells of side
+    ``radius`` while ``stride = floor(1 / radius) + 4`` fits that budget,
+    otherwise the finest grid that fits, of ``stride = isqrt(2 *
+    len(ids) + _TABLE_SLACK)`` and side ``1 / (stride - 4) > radius``.
+    One sort of the distinct int64 values ``key << 30 | id``, below
     ``2**62``, gives the keys and their stable order.
     """
     if not radius > 0.0:
         raise ValueError("radius must be positive")
     xy = np.asarray(points, dtype=float)
-    n = xy.shape[0]
-    if n >= 2**30:
+    # Checked before ``ids`` is read, so a view of 2**30 points costs nothing.
+    if len(xy) >= 2**30:
         raise ValueError("too many points: int64 sort keys need N < 2**30")
+    ids = np.asarray(ids).astype(np.int64, casting="safe", copy=False)
+    if ids.ndim != 1 or ids.size and not (0 <= ids[0] and ids[-1] < len(xy) and np.all(ids[:-1] < ids[1:])):
+        raise ValueError("ids must ascend strictly within [0, N)")
+    sub = np.take(xy, ids, axis=0)
     # NaN fails both comparisons.
-    if n and not (xy.min() >= 0.0 and xy.max() <= 1.0):
+    if ids.size and not (sub.min() >= 0.0 and sub.max() <= 1.0):
         raise ValueError("points must lie in [0, 1]^2")
-    stride = math.isqrt(2 * n + _TABLE_SLACK)
+    stride = math.isqrt(2 * ids.size + _TABLE_SLACK)
     per_side = 1.0 / float(radius)  # inf for the smallest radii
     if per_side < stride - 3:
         stride, cell = int(per_side) + 4, radius
     else:
         cell = 1.0 / (stride - 4)
-    keys = _cell_keys(xy, cell, stride)
-    packed = np.sort((keys << 30) | np.arange(n, dtype=np.int64))
-    keys, order = packed >> 30, packed & _LOW30
-    return GridIndex(xy, radius, n, keys, order, stride, cell)
+    packed = np.sort((_cell_keys(sub, cell, stride) << 30) | ids)
+    return packed >> 30, packed & _LOW30, stride, cell
 
 
 def ordered_pairs_within(
-    idx: GridIndex, orientations: np.ndarray, alpha: float
+    points: np.ndarray, ids: np.ndarray, orientations: np.ndarray, radius: float, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sector arcs ``(i, j)`` among the indexed points.
+    """Sector arcs ``(i, j)`` among the points ``points[ids]``, in ids.
 
+    ``points``, ``ids`` and ``radius`` are as ``build_index`` takes them,
+    and ``orientations`` holds one elevation per point of ``points``.
     ``(i, j)`` is kept when ``p_j`` lies in the sector of radius
-    ``idx.radius`` and angle ``alpha`` at apex ``p_i`` with elevation
-    ``orientations[i]`` (one per point), as ``points_in_sector`` decides
-    it: ``0 < d2 <= radius**2``, so a point coincident with the apex is
-    excluded.
+    ``radius`` and angle ``alpha`` at apex ``p_i`` with elevation
+    ``orientations[i]``, as ``points_in_sector`` decides it: ``0 < d2 <=
+    radius**2``, so a point coincident with the apex is excluded.
 
     Order: ascending ``(i, j)``, the natural edge-list order, whatever
     the grid: the arcs are sorted by the int64 key ``i << 30 | j``, which
@@ -373,24 +361,23 @@ def ordered_pairs_within(
     size. Both directions are tested from one ``(dx, dy)``; the reverse
     uses ``(-dx, -dy)``, which IEEE subtraction makes exact.
     """
-    keys, order, n, stride = idx._keys, idx._order, idx.count, idx._stride
+    keys, order, stride, _ = build_index(points, ids, radius)
     theta = np.asarray(orientations, dtype=float)
-    if len(theta) != n:
-        raise ValueError(f"{len(theta)} orientations for {n} indexed points")
+    if len(theta) != len(points):
+        raise ValueError(f"{len(theta)} orientations for {len(points)} points")
     st = theta[order]
     # Coordinates in key order: partner reads stay within neighbouring
     # cells instead of gathering from all of the points.
-    sx, sy = np.take(idx.points, order, axis=0).T
+    sx, sy = np.take(points, order, axis=0).T
     table = np.bincount(keys, minlength=stride * stride)
     np.cumsum(table, out=table)
     # Per apex: the stops of the cell above and of the next column, its start.
     offset = np.array([[1], [stride + 1], [stride - 2]])
-    r2 = idx.radius * idx.radius
+    r2 = radius * radius
     out = [np.empty(0, dtype=np.int64)]
-    for lo in range(0, n, _PAIR_CHUNK):
-        key = keys[lo : lo + _PAIR_CHUNK]
-        m = key.size
-        bounds = table[key + offset]
+    for lo in range(0, len(keys), _PAIR_CHUNK):
+        bounds = table[keys[lo : lo + _PAIR_CHUNK] + offset]
+        m = bounds.shape[1]
         # Same-column ranges first, then next-column ranges.
         first = np.concatenate((np.arange(lo + 1, lo + m + 1), bounds[2]))
         counts = bounds[:2].ravel() - first
@@ -413,7 +400,7 @@ def ordered_pairs_within(
         # Several times faster than a boolean index.
         out.append(np.compress(fwd, (i << 30) | j))
         out.append(np.compress(rev, (j << 30) | i))
-    # Free the key-order copies and the table before the final sort, the peak.
-    del sx, sy, st, table
+    # Free the index and its key-order copies before the final sort, the peak.
+    del keys, order, sx, sy, st, table
     arcs = np.sort(np.concatenate(out))
     return arcs >> 30, arcs & _LOW30

@@ -17,11 +17,11 @@ below ``q``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, angle_in_arc, build_index, ordered_pairs_within
+from .geometry import TWO_PI, angle_in_arc, ordered_pairs_within
 from .randomness import TrialStream
 
 MODES = ("binomial", "poisson")
@@ -61,9 +61,6 @@ class ModelParams:
             raise ValueError("mode must be 'binomial' or 'poisson'")
         if not (isinstance(self.master_seed, (int, np.integer)) and 0 <= self.master_seed < 2**64):
             raise ValueError("master_seed must be an unsigned 64-bit integer")
-
-    def with_mode(self, mode: str) -> "ModelParams":
-        return replace(self, mode=mode)
 
 
 @dataclass
@@ -111,14 +108,8 @@ def sample_graph(params: ModelParams, stream: TrialStream) -> FaultySectorGraph:
     orientations = TWO_PI * gen.random(realized)
     alive = gen.random(realized) < 1.0 - params.v
 
-    # Dead vertices neither send nor receive, so index only the alive ones.
-    # ``np.take`` gathers the rows of ``positions`` faster than ``positions[alive_idx]``;
-    # the index is a temporary, so its arrays are freed before the fault hashes.
-    alive_idx = np.nonzero(alive)[0]
-    ia, ja = ordered_pairs_within(
-        build_index(np.take(positions, alive_idx, axis=0), params.r), orientations[alive_idx], params.alpha
-    )
-    i, j = alive_idx[ia], alive_idx[ja]
+    # Dead vertices neither send nor receive, so only the alive ones are paired.
+    i, j = ordered_pairs_within(positions, np.flatnonzero(alive), orientations, params.r, params.alpha)
     if params.q > 0.0:
         survives = np.flatnonzero(stream.pair_uniforms(i, j) >= params.q)
         i, j = i[survives], j[survives]

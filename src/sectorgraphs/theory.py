@@ -14,6 +14,7 @@ is the smallest integer with ``n * P(Poi(mu) >= j) <= 1/(1-v)``; ``k`` is
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from . import poisson
@@ -109,11 +110,14 @@ def predict(params: ModelParams, k: int | None = None) -> FocusingPrediction:
 
     Applies to the maximum out-degree and in-degree alike, in both
     point-process modes. A given ``k`` replaces the focusing index in the
-    law (``j`` is still the one computed); ``None`` uses the focusing index.
+    law (``j`` is still the one computed) and must be an integer of at
+    least 1 (``operator.index``); ``None`` uses the focusing index.
     """
+    if k is not None and operator.index(k) < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     mu = mean_degree(params)
     j, k_focus = focusing_index(params.n, params.v, mu)
-    k = k_focus if k is None else k
+    k = k_focus if k is None else operator.index(k)
     xi_k = float(poisson.upper_tail(mu, k))
     a = params.n * (1.0 - params.v) * xi_k
     p_km1 = math.exp(-a)

@@ -356,6 +356,26 @@ class TestVerify:
         assert rc == 2
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_override_k_below_one_exits_1_before_any_trial(self, tmp_path, monkeypatch, capsys, k):
+        monkeypatch.setattr(cli, "run_verify", None)
+        rc = run_cli(
+            "verify", "--n", "300", "--mu-target", "1", "--trials", "5",
+            "--override-k", k, "--out", str(tmp_path / "v"),
+        )
+        assert rc == 1
+        assert f"config error: override_k: must be at least 1, got {k}" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
+    def test_override_k_one_runs(self, tmp_path, capsys):
+        rc = run_cli(
+            "verify", "--n", "300", "--mu-target", "1", "--trials", "5",
+            "--override-k", "1", "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert json.loads((tmp_path / "report.json").read_text())["prediction"]["k"] == 1
+        assert "verdict: FAIL" in capsys.readouterr().out
+
     def test_nan_slack_exits_1_without_report(self, tmp_path, capsys):
         rc = run_cli(
             "verify", "--n", "300", "--alpha", "pi", "--mu-target", "1",

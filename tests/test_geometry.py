@@ -48,7 +48,7 @@ def _cell_edge_points(draw):
         )
     )
     # At most 14 points: the cell side of an empty index is theirs.
-    cell = build_index(np.empty((0, 2)), radius)._cell
+    cell = build_index(np.empty((0, 2)), np.arange(0), radius)[3]
     edge = st.builds(
         lambda k, ulp: float(np.clip(np.nextafter(k * cell, k * cell + ulp), 0.0, 1.0)),
         st.integers(0, int(1 / cell) + 1),
@@ -87,10 +87,20 @@ _ALPHA = st.one_of(
 )
 
 
+def _with_ids(case):
+    """``(case, ids)``: a strictly ascending subset of the case's point
+    ids, empty, one, some or all of them."""
+    n = len(case[0][0])
+    masks = [st.just([False] * n), st.just([True] * n), st.lists(st.booleans(), min_size=n, max_size=n)]
+    if n:
+        masks.append(st.integers(0, n - 1).map(lambda k: [i == k for i in range(n)]))
+    return st.tuples(st.just(case), st.one_of(masks).map(np.flatnonzero))
+
+
 def _index_pairs(pts: np.ndarray, radius: float) -> list[tuple[int, int]]:
     """The kernel's arcs of the full disk, whatever the orientations, in
     its output order."""
-    gi, gj = ordered_pairs_within(build_index(pts, radius), np.zeros(len(pts)), TWO_PI)
+    gi, gj = ordered_pairs_within(pts, np.arange(len(pts)), np.zeros(len(pts)), radius, TWO_PI)
     return list(zip(gi.tolist(), gj.tolist()))
 
 
@@ -162,7 +172,7 @@ class TestAngleInArc:
         with pytest.raises(ValueError, match="elevation"):
             points_in_sector((0.5, 0.5), bad, math.pi / 2, 0.1, (0.55, 0.55))
         with pytest.raises(ValueError, match="elevation"):
-            ordered_pairs_within(build_index(pts, 0.1), np.array([bad, 0.0]), math.pi)
+            ordered_pairs_within(pts, np.arange(2), np.array([bad, 0.0]), 0.1, math.pi)
         with pytest.raises(ValueError, match="elevation"):
             intersection_areas([(pts[:1], np.array([bad]), 1.0)], 0.1)
 
@@ -170,7 +180,7 @@ class TestAngleInArc:
         pts = np.array([[0.5, 0.5], [0.52, 0.5]])
         for elevation in (0.0, TWO_PI):
             assert points_in_sector((0.5, 0.5), elevation, math.pi / 2, 0.1, (0.55, 0.55))
-        got = ordered_pairs_within(build_index(pts, 0.1), np.array([TWO_PI, 0.0]), math.pi)
+        got = ordered_pairs_within(pts, np.arange(2), np.array([TWO_PI, 0.0]), 0.1, math.pi)
         assert [a.tolist() for a in got] == [[0], [1]]
 
     def test_full_circle_matches_extended_precision(self):
@@ -546,15 +556,15 @@ def test_intersection_areas_are_pinned(name):
 class TestGridIndex:
     def test_empty(self):
         pts = np.empty((0, 2))
-        idx = build_index(pts, 0.1)
-        assert idx.count == 0
-        gi, gj = ordered_pairs_within(idx, np.empty(0), TWO_PI)
+        keys, order, _, _ = build_index(pts, np.arange(0), 0.1)
+        assert keys.size == order.size == 0
+        gi, gj = ordered_pairs_within(pts, np.arange(0), np.empty(0), 0.1, TWO_PI)
         assert gi.size == 0 and gj.size == 0
 
     def test_three_points_one_cell(self):
         pts = np.array([[0.51, 0.51], [0.52, 0.52], [0.53, 0.53]])
-        idx = build_index(pts, 0.1)
-        assert idx.count == 3
+        keys, order, _, _ = build_index(pts, np.arange(3), 0.1)
+        assert keys.size == order.size == 3
         got = _index_pairs(pts, 0.1)
         assert got == [(i, j) for i in range(3) for j in range(3) if i != j]
         assert got == sorted(_scan_pairs(pts, 0.1))
@@ -562,13 +572,13 @@ class TestGridIndex:
     def test_buckets_partition_points(self):
         rng = np.random.default_rng(7)
         pts = rng.random((10_000, 2))
-        idx = build_index(pts, 0.03)
-        assert idx.count == 10_000
+        keys, order, _, _ = build_index(pts, np.arange(10_000), 0.03)
+        assert keys.size == order.size == 10_000
         assert _index_pairs(pts, 0.03) == sorted(_scan_pairs(pts, 0.03))
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
-            build_index(np.empty((0, 2)), 0.0)
+            build_index(np.empty((0, 2)), np.arange(0), 0.0)
 
     @pytest.mark.parametrize("radius", [1e-10, 5e-324])
     def test_tiny_radius_gets_coarse_cells(self, radius):
@@ -576,9 +586,9 @@ class TestGridIndex:
         # int64; the index takes cells of the largest count that fits.
         pts = np.random.default_rng(31).random((20, 2))
         pts[15:] = pts[:5] + radius / 2
-        idx = build_index(pts, radius)
-        assert idx._stride == math.isqrt(2 * 20 + geometry._TABLE_SLACK)
-        assert idx._cell == 1.0 / (idx._stride - 4) and idx.radius == radius
+        _, _, stride, cell = build_index(pts, np.arange(20), radius)
+        assert stride == math.isqrt(2 * 20 + geometry._TABLE_SLACK)
+        assert cell == 1.0 / (stride - 4)
         got = _index_pairs(pts, radius)
         assert got == sorted(_scan_pairs(pts, radius))
         assert len(got) == (10 if radius == 1e-10 else 0)
@@ -592,10 +602,12 @@ class TestGridIndex:
         assert (n - 1) << 30 | (n - 1) < 2**60
 
     def test_rejects_too_many_points(self):
-        # A broadcast view: no memory for 2**30 points is allocated.
+        # Broadcast views and no ids: no memory for 2**30 points is allocated.
         pts = np.broadcast_to(np.array([0.5, 0.5]), (2**30, 2))
         with pytest.raises(ValueError, match=r"2\*\*30"):
-            build_index(pts, 0.1)
+            build_index(pts, np.arange(0), 0.1)
+        with pytest.raises(ValueError, match=r"2\*\*30"):
+            ordered_pairs_within(pts, np.arange(0), np.broadcast_to(0.0, (2**30,)), 0.1, TWO_PI)
 
     @pytest.mark.parametrize("bad", [math.nan, -1e-12, 1.0 + 1e-12])
     @pytest.mark.parametrize("axis", [0, 1])
@@ -603,7 +615,7 @@ class TestGridIndex:
         pts = np.array([[0.5, 0.5], [0.5, 0.5], [0.52, 0.5]])
         pts[1, axis] = bad
         with pytest.raises(ValueError, match=r"\[0, 1\]\^2"):
-            build_index(pts, 0.1)
+            build_index(pts, np.arange(3), 0.1)
 
     def test_accepts_square_edges(self):
         pts = np.array([[1.0, -0.0], [-0.0, 1.0], [1.0, 1.0], [0.98, 1.0]])
@@ -645,11 +657,11 @@ class TestGridIndex:
     @given(_cell_edge_points())
     def test_property_index_order_is_stable(self, case):
         pts, radius = case
-        idx = build_index(pts, radius)
-        keys = _cell_keys(pts, idx._cell, idx._stride)
+        got_keys, got_order, stride, cell = build_index(pts, np.arange(len(pts)), radius)
+        keys = _cell_keys(pts, cell, stride)
         order = np.argsort(keys, kind="stable")
-        assert np.array_equal(idx._order, order)
-        assert np.array_equal(idx._keys, keys[order])
+        assert np.array_equal(got_order, order)
+        assert np.array_equal(got_keys, keys[order])
 
     def test_tiny_cells_keep_stable_order(self):
         # Cells of side 1e-9 would not fit the table budget, so the index
@@ -659,12 +671,12 @@ class TestGridIndex:
         pts = rng.random((20, 2))
         pts[10:15] = pts[:5]
         pts[15:] = pts[0]
-        idx = build_index(pts, 1e-9)
-        assert idx._stride**2 <= 2 * len(pts) + geometry._TABLE_SLACK < (int(1e9) + 4) ** 2
-        keys = _cell_keys(pts, idx._cell, idx._stride)
+        got_keys, got_order, stride, cell = build_index(pts, np.arange(20), 1e-9)
+        assert stride**2 <= 2 * len(pts) + geometry._TABLE_SLACK < (int(1e9) + 4) ** 2
+        keys = _cell_keys(pts, cell, stride)
         order = np.argsort(keys, kind="stable")
-        assert np.array_equal(idx._order, order)
-        assert np.array_equal(idx._keys, keys[order])
+        assert np.array_equal(got_order, order)
+        assert np.array_equal(got_keys, keys[order])
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
     @pytest.mark.parametrize("sector", [False, True])
@@ -674,10 +686,10 @@ class TestGridIndex:
         pts = np.concatenate((pts, pts[:150], pts[:20]))
         theta = rng.random(len(pts)) * TWO_PI
         alpha = math.pi if sector else TWO_PI
-        idx = build_index(pts, 0.03)
-        want = ordered_pairs_within(idx, theta, alpha)
+        ids = np.arange(len(pts))
+        want = ordered_pairs_within(pts, ids, theta, 0.03, alpha)
         monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
-        got = ordered_pairs_within(idx, theta, alpha)
+        got = ordered_pairs_within(pts, ids, theta, 0.03, alpha)
         assert all(np.array_equal(w, g) and w.dtype == g.dtype for w, g in zip(want, got))
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
@@ -687,9 +699,8 @@ class TestGridIndex:
         pts = rng.random((300, 2))
         pts[290:] = pts[:10]
         theta = rng.random(300) * TWO_PI
-        idx = build_index(pts, 0.1)
         assert _index_pairs(pts, 0.1) == sorted(_scan_pairs(pts, 0.1))
-        gi, gj = ordered_pairs_within(idx, theta, 2.0)
+        gi, gj = ordered_pairs_within(pts, np.arange(300), theta, 0.1, 2.0)
         assert list(zip(gi.tolist(), gj.tolist())) == sorted(_apex_scan(pts, theta, 2.0, 0.1))
 
     @pytest.mark.parametrize("alpha", [None, 2.0])
@@ -709,9 +720,10 @@ class TestGridIndex:
             corner = [(x, y) for x in near for y in near]
             pts = np.concatenate((np.array(corner), 1.0 - 2.0 * radius * rng.random((40, 2))))
             theta = rng.random(len(pts)) * TWO_PI
-            idx = build_index(pts, radius)
-            assert idx._keys[-1] == idx._stride**2 - 2 * idx._stride - 3
-            gi, gj = ordered_pairs_within(idx, theta, alpha or TWO_PI)
+            ids = np.arange(len(pts))
+            keys, _, stride, _ = build_index(pts, ids, radius)
+            assert keys[-1] == stride**2 - 2 * stride - 3
+            gi, gj = ordered_pairs_within(pts, ids, theta, radius, alpha or TWO_PI)
             if alpha is None:
                 want = _scan_pairs(pts, radius)
             else:
@@ -720,9 +732,51 @@ class TestGridIndex:
 
     def test_rejects_orientation_count_mismatch(self):
         pts = np.array([[0.5, 0.5], [0.52, 0.5]])
-        idx = build_index(pts, 0.1)
         with pytest.raises(ValueError, match="orientations"):
-            ordered_pairs_within(idx, np.zeros(3), math.pi)
+            ordered_pairs_within(pts, np.arange(2), np.zeros(3), 0.1, math.pi)
+
+    @pytest.mark.parametrize("ids", [[0, 0], [1, 0], [0, 2, 1], [-1, 0], [0, 3], [3], [[0, 1]]])
+    def test_rejects_bad_ids(self, ids):
+        # Ids that repeat, descend, fall outside [0, N) or are not one-dimensional.
+        pts = np.array([[0.5, 0.5], [0.52, 0.5], [0.54, 0.5]])
+        with pytest.raises(ValueError, match="ids"):
+            build_index(pts, np.array(ids), 0.1)
+        with pytest.raises(ValueError, match="ids"):
+            ordered_pairs_within(pts, np.array(ids), np.zeros(3), 0.1, TWO_PI)
+
+    def test_orientations_count_all_points(self):
+        # One orientation per point, not per id.
+        pts = np.array([[0.5, 0.5], [0.52, 0.5], [0.54, 0.5]])
+        with pytest.raises(ValueError, match="orientations"):
+            ordered_pairs_within(pts, np.array([0, 2]), np.zeros(2), 0.1, TWO_PI)
+
+    @pytest.mark.parametrize("ids", [[0.0, 1.0], [], np.arange(2, dtype=np.uint64)])
+    def test_rejects_ids_not_safely_int64(self, ids):
+        pts = np.array([[0.5, 0.5], [0.52, 0.5], [0.54, 0.5]])
+        with pytest.raises(TypeError):
+            ordered_pairs_within(pts, ids, np.zeros(3), 0.1, TWO_PI)
+
+    def test_empty_ids_give_no_arcs(self):
+        pts = np.array([[0.5, 0.5], [0.52, 0.5], [0.54, 0.5]])
+        for ids in (np.arange(0), np.array([], dtype=np.int32)):
+            gi, gj = ordered_pairs_within(pts, ids, np.zeros(3), 0.1, TWO_PI)
+            assert gi.size == gj.size == 0 and gi.dtype == gj.dtype == np.int64
+        got = ordered_pairs_within(pts, np.array([0, 2], dtype=np.int32), np.zeros(3), 0.1, TWO_PI)
+        assert [a.tolist() for a in got] == [[0, 2], [2, 0]]
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_cell_edge_points().flatmap(_with_orientations).flatmap(_with_ids), _ALPHA)
+    @example((((np.empty((0, 2)), 0.1), []), np.arange(0)), math.pi)
+    @example((((np.array([[0.2, 0.7], [0.2, 0.7], [0.25, 0.7]]), 0.1), [0.0] * 3), np.array([0, 2])), 1e-12)
+    def test_property_ids_match_compact_points(self, case, alpha):
+        # The arcs among ``points[ids]`` in ids equal those of the compact
+        # array ``points[ids]``, mapped back through ``ids``.
+        ((pts, radius), theta), ids = case
+        theta = np.array(theta, dtype=float)
+        got = ordered_pairs_within(pts, ids, theta, radius, alpha)
+        ci, cj = ordered_pairs_within(pts[ids], np.arange(len(ids)), theta[ids], radius, alpha)
+        for g, w in zip(got, (ids[ci], ids[cj])):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(_cell_edge_points().flatmap(_with_orientations), _ALPHA)
@@ -731,8 +785,7 @@ class TestGridIndex:
     def test_sector_property_matches_apex_scan(self, case, alpha):
         (pts, radius), theta = case
         theta = np.array(theta, dtype=float)
-        idx = build_index(pts, radius)
-        gi, gj = ordered_pairs_within(idx, theta, alpha)
+        gi, gj = ordered_pairs_within(pts, np.arange(len(pts)), theta, radius, alpha)
         assert gi.dtype == gj.dtype == np.int64
         assert list(zip(gi.tolist(), gj.tolist())) == sorted(_apex_scan(pts, theta, alpha, radius))
 
@@ -751,18 +804,18 @@ class TestCoarseCells:
         pts[2900:2950] = np.clip(pts[:50] + 7e-4 * (rng.random((50, 2)) - 0.5), 0.0, 1.0)
         pts[2950:] = pts[50:100]
         theta = rng.random(len(pts)) * TWO_PI
-        idx = build_index(pts, 1e-3)
-        assert idx._stride**2 <= 2 * idx.count + geometry._TABLE_SLACK
-        assert idx._cell > 1e-3
+        ids = np.arange(len(pts))
+        _, _, stride, cell = build_index(pts, ids, 1e-3)
+        assert stride**2 <= 2 * len(ids) + geometry._TABLE_SLACK
+        assert cell > 1e-3
         full = _index_pairs(pts, 1e-3)
         assert len(full) >= 60 and full == sorted(_scan_pairs(pts, 1e-3))
-        got = ordered_pairs_within(idx, theta, 2.0)
+        got = ordered_pairs_within(pts, ids, theta, 1e-3, 2.0)
         assert list(zip(got[0].tolist(), got[1].tolist())) == sorted(_apex_scan(pts, theta, 2.0, 1e-3))
         # A budget that fits cells of side r: the same arcs in the same order.
         monkeypatch.setattr(geometry, "_TABLE_SLACK", 2**21)
-        fine = build_index(pts, 1e-3)
-        assert fine._cell == 1e-3
-        assert all(np.array_equal(f, c) for f, c in zip(ordered_pairs_within(fine, theta, 2.0), got))
+        assert build_index(pts, ids, 1e-3)[3] == 1e-3
+        assert all(np.array_equal(f, c) for f, c in zip(ordered_pairs_within(pts, ids, theta, 1e-3, 2.0), got))
 
     def test_cells_too_many_for_a_table(self):
         # Cells of side r would number about 1e14; 50 points get 252**2.
@@ -770,8 +823,8 @@ class TestCoarseCells:
         pts = rng.random((50, 2))
         pts[40:45] = pts[:5] + 5e-8
         pts[45:] = pts[5:10]
-        idx = build_index(pts, 1e-7)
-        assert idx._stride == 256 and idx._cell == 1 / 252
+        _, _, stride, cell = build_index(pts, np.arange(50), 1e-7)
+        assert stride == 256 and cell == 1 / 252
         got = _index_pairs(pts, 1e-7)
         assert {(i, i + 40) for i in range(5)} <= set(got)
         assert got == sorted(_scan_pairs(pts, 1e-7))

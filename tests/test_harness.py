@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import math
 
 import numpy as np
@@ -302,8 +303,8 @@ class TestModeAgreement:
     def test_tiny_smoke(self):
         params = _params(n=10, mu=0.5, seed=9)
         report = mode_agreement(
-            run_trials(params.with_mode("binomial"), 500),
-            run_trials(params.with_mode("poisson"), 500),
+            run_trials(dataclasses.replace(params, mode="binomial"), 500),
+            run_trials(dataclasses.replace(params, mode="poisson"), 500),
             seed=params.master_seed,
         )
         assert 0.0 <= report.distance_out <= 1.0

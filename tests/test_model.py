@@ -15,7 +15,6 @@ from scipy import stats
 from sectorgraphs.degree_sets import DegreeSet
 from sectorgraphs.geometry import (
     TWO_PI,
-    build_index,
     ordered_pairs_within,
     points_in_sector,
 )
@@ -477,6 +476,6 @@ def test_sector_arc_order_is_pinned():
 def test_pair_order_is_pinned():
     pts = np.random.default_rng(99).random((10_000, 2))
     # The full disk: every pair of the (distinct) points within 0.02, both ways.
-    i, j = ordered_pairs_within(build_index(pts, 0.02), np.zeros(len(pts)), TWO_PI)
+    i, j = ordered_pairs_within(pts, np.arange(len(pts)), np.zeros(len(pts)), 0.02, TWO_PI)
     assert i.size == 123_498
     assert _sha256(i, j) == "0ef5e506068bee4aa1bd602f99f29fdf350297ae3d23bc08876475132f05e1af"

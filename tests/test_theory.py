@@ -198,6 +198,17 @@ class TestPredict:
             assert (other.mu, other.j, other.k) == (pred.mu, pred.j, pred.k + 3)
             assert other.xi_k == poisson.upper_tail(pred.mu, pred.k + 3)
 
+    def test_given_k_must_be_a_positive_integer(self):
+        r = radius_for_mean_degree(500, math.pi, 0.0, 0.0, 1.0)
+        params = ModelParams(n=500, alpha=math.pi, r=r, v=0.0, q=0.0)
+        for k in (0, -3, np.int64(0)):
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                predict(params, k=k)
+        with pytest.raises(TypeError):
+            predict(params, k=2.5)
+        assert predict(params, k=np.int64(1)) == predict(params, k=1)
+        assert type(predict(params, k=np.int64(1)).k) is int
+
 
 class TestRegime:
     def test_desk_scale_no_warnings(self):
