@@ -17,8 +17,8 @@ from .model import (
     write_vertex_csv,
 )
 from .theory import (
-    check_regime,
     focusing_index,
+    max_degree_law,
     predict,
     radius_for_mean_degree,
 )
@@ -27,12 +27,12 @@ __all__ = [
     "DegreeSet",
     "ModelParams",
     "TrialOptions",
-    "check_regime",
     "compare",
     "degree_summary",
     "empirical_tv",
     "empirical_tv_bootstrap_se",
     "focusing_index",
+    "max_degree_law",
     "predict",
     "radius_for_mean_degree",
     "run_trials",

@@ -49,7 +49,7 @@ from .theory import (
     NoFocusingIndex,
     RadiusOutOfRange,
     TWO_POINT_CONVENTION,
-    check_regime,
+    max_degree_law,
     predict,
 )
 
@@ -82,7 +82,7 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
     validate_config(cfg)
     params = resolve_params(cfg, cfg.modes()[0])
     pred = predict(params)
-    regime = check_regime(params, cfg.epsilon)
+    law = max_degree_law(params)
     print(
         f"n={params.n} alpha={params.alpha:.9g} r={params.r:.9g} "
         f"v={params.v} q={params.q}"
@@ -90,14 +90,15 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
     print(f"mu={pred.mu:.9g} j={pred.j} k={pred.k} xi(k)={pred.xi_k:.9g} a={pred.a:.9g}")
     print(f"P(max={pred.k - 1})={pred.p_km1:.6f}  P(max={pred.k})={pred.p_k:.6f}")
     print(f"convention: {TWO_POINT_CONVENTION}")
+    two_point = law.get(pred.k - 1, 0.0) + law.get(pred.k, 0.0)
+    pairs = {m: law[m] + law.get(m + 1, 0.0) for m in law}
+    top = max(pairs, key=pairs.get)
     print(
-        f"regime: mu^(1+eps)/ln n={regime.focusing_ratio:.6g} "
-        f"mu/n^(1/6)={regime.mu_over_pow:.6g}"
+        f"whole law: P(max in {{{pred.k - 1},{pred.k}}})={two_point:.6f}  "
+        f"likeliest pair P(max in {{{top},{top + 1}}})={pairs[top]:.6f}"
     )
-    for w in regime.warnings:
-        print(f"warning: {w}")
     if cfg.out:
-        _persist(cfg, _out_dir(cfg), {"params": params, "prediction": pred, "regime": regime})
+        _persist(cfg, _out_dir(cfg), {"params": params, "prediction": pred, "law": law})
     return 0
 
 

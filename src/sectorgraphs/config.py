@@ -60,7 +60,6 @@ class RunConfig:
     seed: int = 0
     trials: int = 1000
     parallelism: int = 1
-    epsilon: float = 1.0
     slack: float = 0.08
     side: str = "both"
     a_sets: tuple[str, ...] = ()
@@ -98,7 +97,7 @@ def _comma_list(item):
 _FIELD_PARSERS = {
     "n": int, "alpha": parse_alpha, "r": float, "mu_target": float, "v": float,
     "q": float, "mode": str, "seed": int, "trials": int, "parallelism": int,
-    "epsilon": float, "slack": float, "side": str, "a_sets": _split_a_sets,
+    "slack": float, "side": str, "a_sets": _split_a_sets,
     "out": str, "outer_samples": int, "ew_samples": int,
     "trunc_cap": float, "n_grid": _comma_list(int), "r_grid": _comma_list(float),
 }
@@ -188,8 +187,6 @@ def validate_config(cfg: RunConfig, need_radius: bool = True) -> None:
         raise ConfigError("parallelism: must be >= 1")
     if not 0 <= cfg.slack < math.inf:
         raise ConfigError("slack: must be finite and >= 0")
-    if not 0 < cfg.epsilon < math.inf:
-        raise ConfigError("epsilon: must be finite and > 0")
     for name in ("outer_samples", "ew_samples"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name}: must be >= 1")

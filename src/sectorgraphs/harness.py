@@ -239,6 +239,8 @@ def compare(
     with Clopper-Pearson intervals at level ``CI_LEVEL``."""
     if not records:
         raise ValueError("records must be nonempty")
+    if not sides:
+        raise ValueError("sides must be nonempty")
     for side in sides:
         check_side(side)
     out = {side: _compare_side(records, prediction, slack, side) for side in sides}
@@ -263,6 +265,8 @@ def verify(
     prediction: FocusingPrediction | None = None,
 ) -> tuple[ExperimentReport, list[TrialRecord]]:
     """Predict, simulate and compare in one step."""
+    if not sides:
+        raise ValueError("sides must be nonempty")
     for side in sides:
         check_side(side)
     started = time.perf_counter()

@@ -8,7 +8,9 @@ concentrates on two consecutive integers ``k-1`` and ``k``. The index ``j``
 is the smallest integer with ``n * P(Poi(mu) >= j) <= 1/(1-v)``; ``k`` is
 ``j-1`` or ``j`` depending on a threshold rule, and the limiting masses are
 ``exp(-a)`` at ``k-1`` and ``1 - exp(-a)`` at ``k`` with
-``a = n * (1-v) * P(Poi(mu) >= k)``.
+``a = n * (1-v) * P(Poi(mu) >= k)``. The same Poisson approximation of the
+number of alive vertices of degree ``>= m`` gives ``max_degree_law``, the
+law at every threshold ``m``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class RadiusOutOfRange(ValueError):
 
 
 class NoFocusingIndex(ValueError):
-    """n*(1-v) <= 1: no index j with n*tail(j) <= 1/(1-v) and tail(j-1) above it."""
+    """n*(1-v) <= 1 (or NaN): no index j with n*tail(j) <= 1/(1-v) and tail(j-1) above it."""
 
 
 @dataclass(frozen=True)
@@ -48,17 +50,6 @@ class FocusingPrediction:
     p_k: float
 
 
-@dataclass(frozen=True)
-class RegimeReport:
-    """Finite-size diagnostics for the asymptotic hypotheses (heuristic
-    thresholds, not correctness gates)."""
-
-    mu: float
-    mu_over_pow: float
-    focusing_ratio: float
-    warnings: tuple[str, ...]
-
-
 def mean_degree(params: ModelParams) -> float:
     """``(alpha/2) * n * r**2 * (1-v) * (1-q)``; also the asymptotic mean
     out-degree of an interior alive vertex."""
@@ -70,7 +61,7 @@ def radius_for_mean_degree(
     n: int, alpha: float, v: float, q: float, mu_target: float
 ) -> float:
     """Radius r < 0.5 that makes ``mean_degree`` equal ``mu_target``."""
-    if mu_target <= 0.0:
+    if not mu_target > 0.0:
         raise ValueError("mu_target must be positive")
     r = math.sqrt(2.0 * mu_target / (alpha * n * (1.0 - v) * (1.0 - q)))
     if r >= 0.5:
@@ -88,10 +79,10 @@ def focusing_index(n: int, v: float, mu: float) -> tuple[int, int]:
     when ``(1-v)*n*tail(j) <= sqrt(tail(j)/tail(j-1))``, else ``k = j``.
     Exact threshold equality keeps ``k = j-1``.
     """
-    if n * (1.0 - v) <= 1.0:
+    if not n * (1.0 - v) > 1.0:
         raise NoFocusingIndex(f"n*(1-v) = {n * (1.0 - v):.6g} must exceed 1")
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
     bound = 1.0 / (1.0 - v)
     xi_prev = 1.0  # tail(0)
     j = 0
@@ -124,34 +115,22 @@ def predict(params: ModelParams, k: int | None = None) -> FocusingPrediction:
     return FocusingPrediction(mu=mu, j=j, k=k, xi_k=xi_k, a=a, p_km1=p_km1, p_k=1.0 - p_km1)
 
 
-def check_regime(params: ModelParams, epsilon: float) -> RegimeReport:
-    """Diagnostics ``mu``, ``mu**(1+eps)/ln n`` and ``mu/n**(1/6)``.
+def max_degree_law(params: ModelParams) -> dict[int, float]:
+    """The law of the maximum degree that ``predict``'s approximation gives
+    at every threshold: ``P(max <= m) ~ exp(-a_{m+1})`` with
+    ``a_m = n*(1-v)*P(Poi(mu) >= m)``.
 
-    Warnings fire when either ratio exceeds 1 or ``mu < 0.01``; the
-    thresholds are heuristics for desk-scale use.
+    Maps ``m`` to ``exp(-a_{m+1}) - exp(-a_m)``; ``m = 0`` gets
+    ``exp(-a_1)``, graphs with no arc included. The keys run from the
+    first ``m`` whose cdf reaches ``1e-10`` to the first whose cdf
+    exceeds ``1 - 1e-10``.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
     mu = mean_degree(params)
-    log_n = math.log(params.n)
-    focusing_ratio = mu ** (1.0 + epsilon) / log_n if log_n > 0.0 else math.inf
-    mu_over_pow = mu / params.n ** (1.0 / 6.0)
-    warnings = []
-    if focusing_ratio > 1.0:
-        warnings.append(
-            f"mu^(1+eps)/ln n = {focusing_ratio:.4g} > 1: mean degree grows too "
-            "fast relative to ln n for the two-point focusing regime"
-        )
-    if mu_over_pow > 1.0:
-        warnings.append(
-            f"mu/n^(1/6) = {mu_over_pow:.4g} > 1: fixed-count and Poisson modes "
-            "may disagree at this size"
-        )
-    if mu < 0.01:
-        warnings.append(f"mu = {mu:.4g} < 0.01: degenerate near-empty graphs")
-    return RegimeReport(
-        mu=mu,
-        mu_over_pow=mu_over_pow,
-        focusing_ratio=focusing_ratio,
-        warnings=tuple(warnings),
-    )
+    law: dict[int, float] = {}
+    m, cdf_below = 0, 0.0  # cdf_below is the cdf at m - 1
+    while cdf_below <= 1.0 - 1e-10:
+        cdf = math.exp(-params.n * (1.0 - params.v) * float(poisson.upper_tail(mu, m + 1)))
+        if cdf >= 1e-10:
+            law[m] = cdf - cdf_below
+        m, cdf_below = m + 1, cdf
+    return law

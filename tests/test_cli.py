@@ -27,7 +27,7 @@ def run_cli(*args):
 _NON_DEFAULT_TEXT = {
     "n": "2500", "alpha": "pi/2", "r": "0.05", "mu_target": "1.5", "v": "0.1",
     "q": "0.2", "mode": "poisson", "seed": "42", "trials": "64", "parallelism": "2",
-    "epsilon": "0.5", "slack": "0.2", "side": "in", "a_sets": "tail:7,set:0,1",
+    "slack": "0.2", "side": "in", "a_sets": "tail:7,set:0,1",
     "out": "runs/x", "outer_samples": "300", "ew_samples": "500", "trunc_cap": "1e-6",
     "n_grid": "100,1000", "r_grid": "0.1,0.2",
 }
@@ -143,7 +143,6 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("slack", -0.1), ("slack", math.nan), ("slack", math.inf),
-        ("epsilon", 0.0), ("epsilon", math.nan), ("epsilon", math.inf),
     ])
     def test_slack_and_epsilon_must_be_finite(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field}: must be finite"):
@@ -188,7 +187,7 @@ class TestPredict:
             (["--mu-target", "1", "--out", "runs#1"], "out: must not contain '#'"),
             (["--mu-target", "200"], "mu_target 200.0 needs r ="),  # RadiusOutOfRange
             (["--r", "0.1", "--v", "0.999"], "n*(1-v) = 0.1 must exceed 1"),  # NoFocusingIndex
-            (["--mu-target", "1", "--epsilon", "nan"], "epsilon: must be finite and > 0"),
+            (["--mu-target", "1", "--epsilon", "1"], "unrecognized arguments: --epsilon 1"),
             (["--mu-target", "1", "--parallelism", "0"], "parallelism: must be >= 1"),
             (["--mu-target", "1", "--trunc-cap", "1"], "trunc_cap: must lie in (0, 1)"),
             (["--mu-target", "5e-324"], "r must lie in (0, 0.5)"),  # the radius underflows to 0
@@ -213,9 +212,21 @@ class TestPredict:
         assert err.startswith("config error: ") and message in err
         assert "Traceback" not in err
 
-    def test_regime_warning_printed(self, capsys):
-        assert run_cli("predict", "--n", "100", "--mu-target", "0.001") == 0
-        assert "warning: mu = 0.001 < 0.01" in capsys.readouterr().out
+    def test_whole_law_line_printed(self, capsys):
+        rc = run_cli(
+            "predict", "--n", "10000", "--alpha", "pi", "--mu-target", "2",
+            "--v", "0.1", "--q", "0.2",
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "whole law: P(max in {8,9})=0.657993  likeliest pair P(max in {9,10})=0.809948" in out
+        assert "regime" not in out and "warning" not in out
+
+    def test_epsilon_key_is_unknown(self, tmp_path, capsys):
+        path = tmp_path / "config.txt"
+        path.write_text("n = 100\nmu_target = 1\nepsilon = 1\n")
+        assert run_cli("predict", "--config", str(path)) == 1
+        assert "unknown configuration key 'epsilon'" in capsys.readouterr().err
 
     def test_config_line_without_equals_exits_1(self, tmp_path, capsys):
         path = tmp_path / "config.txt"
@@ -259,6 +270,19 @@ class TestPredict:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["prediction"]["k"] == 7
         assert (tmp_path / "config.txt").exists()
+
+    def test_report_holds_the_whole_law(self, tmp_path, capsys):
+        rc = run_cli(
+            "predict", "--n", "10000", "--alpha", "pi", "--mu-target", "2",
+            "--v", "0.1", "--q", "0.2", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert "regime" not in payload
+        keys = [int(m) for m in payload["law"]]
+        assert keys == list(range(keys[0], keys[0] + len(keys)))
+        assert len(keys) > 10  # "10" follows "9", as it would not in text order
+        assert payload["law"]["9"] == pytest.approx(0.540039, abs=5e-7)
 
 
 class TestSimulate:

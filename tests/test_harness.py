@@ -263,6 +263,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="side"):
             sweep(_params(), [300], trials=300, mu_target=1.0, sides=("out", side))
 
+    def test_rejects_empty_sides_before_any_trial(self, monkeypatch):
+        # An empty ``sides`` compares nothing, so it cannot pass a verification.
+        monkeypatch.setattr(harness, "run_one_trial", None)  # no trial may start
+        with pytest.raises(ValueError, match="sides must be nonempty"):
+            verify(_params(), 5, sides=())
+        with pytest.raises(ValueError, match="sides must be nonempty"):
+            sweep(_params(), [300], trials=5, mu_target=1.0, sides=())
+        with pytest.raises(ValueError, match="sides must be nonempty"):
+            compare(_fake_records([6, 7, 7]), predict(_params()), 0.08, sides=())
+
     def test_rejects_bad_grid_before_any_trial(self, monkeypatch):
         monkeypatch.setattr(harness, "run_one_trial", None)  # no trial may start
         for r_list in ([0.05, 0.7], [0.05, 0.0], [0.5, 0.05]):

@@ -10,8 +10,8 @@ from sectorgraphs.model import ModelParams
 from sectorgraphs.theory import (
     NoFocusingIndex,
     RadiusOutOfRange,
-    check_regime,
     focusing_index,
+    max_degree_law,
     mean_degree,
     predict,
     radius_for_mean_degree,
@@ -210,24 +210,59 @@ class TestPredict:
         assert type(predict(params, k=np.int64(1)).k) is int
 
 
-class TestRegime:
-    def test_desk_scale_no_warnings(self):
-        r = radius_for_mean_degree(10**4, math.pi, 0.0, 0.0, 1.0)
-        params = ModelParams(n=10**4, alpha=math.pi, r=r, v=0.0, q=0.0)
-        rep = check_regime(params, epsilon=1.0)
-        assert rep.focusing_ratio == pytest.approx(0.10857362047581296, rel=1e-10)
-        assert rep.warnings == ()
+class TestMaxDegreeLaw:
+    # (n, mu, v, q); the paper's regime and the near-empty graph at mu = 0.001.
+    CONFIGS = [
+        (10**4, 1.0, 0.1, 0.2), (10**4, 2.0, 0.1, 0.2), (10**3, 4.0, 0.1, 0.2),
+        (100, 0.001, 0.1, 0.2), (10**5, 0.5, 0.0, 0.0), (10**6, 16.0, 0.1, 0.2),
+    ]
 
-    def test_fast_growth_warns(self):
-        r = radius_for_mean_degree(100, 2 * math.pi, 0.0, 0.0, 10.0)
-        params = ModelParams(n=100, alpha=2 * math.pi, r=r, v=0.0, q=0.0)
-        rep = check_regime(params, epsilon=1.0)
-        assert rep.warnings
-        assert rep.focusing_ratio > 1.0
+    @staticmethod
+    def _params(n, mu, v, q):
+        r = radius_for_mean_degree(n, math.pi, v, q, mu)
+        return ModelParams(n=n, alpha=math.pi, r=r, v=v, q=q)
 
-    def test_warnings_iff_thresholds(self):
-        r = radius_for_mean_degree(10**4, math.pi, 0.0, 0.0, 1.0)
-        params = ModelParams(n=10**4, alpha=math.pi, r=r, v=0.0, q=0.0)
-        rep = check_regime(params, epsilon=1.0)
-        exceeded = rep.focusing_ratio > 1 or rep.mu_over_pow > 1 or rep.mu < 0.01
-        assert bool(rep.warnings) == exceeded
+    @pytest.mark.parametrize("n, mu, v, q", CONFIGS)
+    def test_masses_form_a_law(self, n, mu, v, q):
+        law = max_degree_law(self._params(n, mu, v, q))
+        assert all(mass >= 0.0 for mass in law.values())
+        assert abs(sum(law.values()) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("n, mu, v, q", CONFIGS)
+    def test_cdf_at_k_minus_1_is_the_two_point_mass(self, n, mu, v, q):
+        params = self._params(n, mu, v, q)
+        law, pred = max_degree_law(params), predict(params)
+        assert abs(sum(law[m] for m in law if m <= pred.k - 1) - pred.p_km1) <= 1e-9
+
+    @pytest.mark.parametrize("n, mu, v, q", CONFIGS)
+    def test_keys_are_consecutive_and_hold_the_pair(self, n, mu, v, q):
+        params = self._params(n, mu, v, q)
+        keys, k = list(max_degree_law(params)), predict(params).k
+        assert keys == list(range(keys[0], keys[0] + len(keys)))
+        assert {k - 1, k} <= set(keys)
+
+    def test_mass_at_zero_is_exp_minus_a1(self):
+        # Graphs with no arc count at m = 0.
+        params = self._params(100, 0.001, 0.1, 0.2)
+        assert max_degree_law(params)[0] == predict(params, k=1).p_km1
+
+    def test_worked_case_where_another_pair_is_likelier(self):
+        params = self._params(10**4, 2.0, 0.1, 0.2)
+        law, k = max_degree_law(params), predict(params).k
+        assert k == 9
+        assert law[8] + law[9] == pytest.approx(0.657993, abs=5e-7)
+        pairs = {m: law[m] + law.get(m + 1, 0.0) for m in law}
+        assert max(pairs, key=pairs.get) == 9
+        assert pairs[9] == pytest.approx(0.810, abs=5e-4)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("v, mu", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0)])
+    def test_focusing_index_raises(self, v, mu):
+        # Each of these used to search for j forever.
+        with pytest.raises(ValueError):
+            focusing_index(1000, v, mu)
+
+    def test_radius_rejects_nan_target(self):
+        with pytest.raises(ValueError, match="mu_target must be positive"):
+            radius_for_mean_degree(1000, math.pi, 0.0, 0.0, math.nan)
