@@ -287,8 +287,15 @@ def clipped_sector_areas(
 
 
 def _cell_keys(points: np.ndarray, cell_size: float, stride: int) -> np.ndarray:
-    cells = np.floor(points / cell_size).astype(np.int64)
-    return (cells[:, 0] + 1) * stride + (cells[:, 1] + 1)
+    """The int64 cell keys of the float ``(m, 2)`` array ``points``, which
+    is overwritten: the arithmetic runs in place, in floats that stay
+    integers below ``stride**2 < 2**53`` and so are exact."""
+    np.floor(np.divide(points, cell_size, out=points), out=points)
+    points += 1.0
+    x, y = points.T
+    x *= stride
+    x += y
+    return x.astype(np.int64)
 
 
 def build_index(points: np.ndarray, ids: np.ndarray, radius: float):
@@ -327,8 +334,14 @@ def build_index(points: np.ndarray, ids: np.ndarray, radius: float):
         stride, cell = int(per_side) + 4, radius
     else:
         cell = 1.0 / (stride - 4)
-    packed = np.sort((_cell_keys(sub, cell, stride) << 30) | ids)
-    return packed >> 30, packed & _LOW30, stride, cell
+    # ``sub`` is this call's own copy, so the keys are made in place in it.
+    packed = _cell_keys(sub, cell, stride)
+    packed <<= 30
+    packed |= ids
+    packed.sort()
+    order = packed & _LOW30
+    packed >>= 30
+    return packed, order, stride, cell
 
 
 def ordered_pairs_within(

@@ -50,6 +50,23 @@ class FocusingPrediction:
     p_k: float
 
 
+def _tail(mu: float, j: int) -> float:
+    return float(poisson.upper_tail(mu, j))
+
+
+def _first_index(test) -> int:
+    """The least integer ``j >= 1`` that passes ``test``, a test that every
+    larger integer then passes too: a doubling search, then a bisection,
+    so ``O(log j)`` calls instead of a scan's ``j``."""
+    lo, hi = 0, 1
+    while not test(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if test(mid) else (mid, hi)
+    return hi
+
+
 def mean_degree(params: ModelParams) -> float:
     """``(alpha/2) * n * r**2 * (1-v) * (1-q)``; also the asymptotic mean
     out-degree of an interior alive vertex."""
@@ -84,14 +101,8 @@ def focusing_index(n: int, v: float, mu: float) -> tuple[int, int]:
     if not 0.0 < mu < math.inf:
         raise ValueError("mu must be positive and finite")
     bound = 1.0 / (1.0 - v)
-    xi_prev = 1.0  # tail(0)
-    j = 0
-    while True:
-        j += 1
-        xi_j = float(poisson.upper_tail(mu, j))
-        if n * xi_j <= bound:
-            break
-        xi_prev = xi_j
+    j = _first_index(lambda i: n * _tail(mu, i) <= bound)
+    xi_j, xi_prev = _tail(mu, j), _tail(mu, j - 1)
     k = j - 1 if (1.0 - v) * n * xi_j <= math.sqrt(xi_j / xi_prev) else j
     return j, k
 
@@ -109,7 +120,7 @@ def predict(params: ModelParams, k: int | None = None) -> FocusingPrediction:
     mu = mean_degree(params)
     j, k_focus = focusing_index(params.n, params.v, mu)
     k = k_focus if k is None else operator.index(k)
-    xi_k = float(poisson.upper_tail(mu, k))
+    xi_k = _tail(mu, k)
     a = params.n * (1.0 - params.v) * xi_k
     p_km1 = math.exp(-a)
     return FocusingPrediction(mu=mu, j=j, k=k, xi_k=xi_k, a=a, p_km1=p_km1, p_k=1.0 - p_km1)
@@ -126,11 +137,15 @@ def max_degree_law(params: ModelParams) -> dict[int, float]:
     exceeds ``1 - 1e-10``.
     """
     mu = mean_degree(params)
+
+    def cdf(m: int) -> float:
+        return math.exp(-params.n * (1.0 - params.v) * _tail(mu, m + 1))
+
     law: dict[int, float] = {}
-    m, cdf_below = 0, 0.0  # cdf_below is the cdf at m - 1
+    m = _first_index(lambda i: cdf(i - 1) >= 1e-10) - 1
+    cdf_below = cdf(m - 1) if m else 0.0  # the cdf at m - 1
     while cdf_below <= 1.0 - 1e-10:
-        cdf = math.exp(-params.n * (1.0 - params.v) * float(poisson.upper_tail(mu, m + 1)))
-        if cdf >= 1e-10:
-            law[m] = cdf - cdf_below
-        m, cdf_below = m + 1, cdf
+        cdf_m = cdf(m)
+        law[m] = cdf_m - cdf_below
+        m, cdf_below = m + 1, cdf_m
     return law

@@ -7,17 +7,23 @@ with no spatial index involved. ``arcs_interior_out_degrees`` counts the
 interior out-degrees from a graph's arcs. ``eager_points_in_sector`` runs
 the arc test on every point. ``sampled_clipped_areas`` and
 ``sampled_decomposition`` estimate the bound's region areas by plain
-Monte Carlo, with binomial standard errors.
+Monte Carlo, with binomial standard errors. ``scan_focusing_index`` and
+``scan_max_degree_law`` find the focusing index and the law's keys by a
+linear scan over ``j``, one tail per step.
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 import numpy as np
 
+from sectorgraphs import poisson
 from sectorgraphs.geometry import TWO_PI, angle_in_arc, in_unit_square
 from sectorgraphs.model import ModelParams
 from sectorgraphs.randomness import TrialStream
+from sectorgraphs.theory import mean_degree
 
 
 def poisson_tail_mp(mean: float, j: int, dps: int = 60) -> mp.mpf:
@@ -40,6 +46,34 @@ def poisson_tail_mp(mean: float, j: int, dps: int = 60) -> mp.mpf:
         for i in range(j):
             total += mp.e ** (-m) * m**i / mp.factorial(i)
         return 1 - total
+
+
+def scan_focusing_index(n: int, v: float, mu: float) -> tuple[int, int]:
+    """``theory.focusing_index`` for valid input, by trying ``j = 1, 2, ...``."""
+    bound = 1.0 / (1.0 - v)
+    xi_prev = 1.0  # tail(0)
+    j = 0
+    while True:
+        j += 1
+        xi_j = float(poisson.upper_tail(mu, j))
+        if n * xi_j <= bound:
+            break
+        xi_prev = xi_j
+    k = j - 1 if (1.0 - v) * n * xi_j <= math.sqrt(xi_j / xi_prev) else j
+    return j, k
+
+
+def scan_max_degree_law(params: ModelParams) -> dict[int, float]:
+    """``theory.max_degree_law`` by scanning ``m = 0, 1, ...`` from the start."""
+    mu = mean_degree(params)
+    law: dict[int, float] = {}
+    m, cdf_below = 0, 0.0  # cdf_below is the cdf at m - 1
+    while cdf_below <= 1.0 - 1e-10:
+        cdf = math.exp(-params.n * (1.0 - params.v) * float(poisson.upper_tail(mu, m + 1)))
+        if cdf >= 1e-10:
+            law[m] = cdf - cdf_below
+        m, cdf_below = m + 1, cdf
+    return law
 
 
 def brute_force_graph(params: ModelParams, trial_index: int):

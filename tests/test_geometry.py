@@ -657,7 +657,10 @@ class TestGridIndex:
     @given(_cell_edge_points())
     def test_property_index_order_is_stable(self, case):
         pts, radius = case
+        before = pts.copy()
         got_keys, got_order, stride, cell = build_index(pts, np.arange(len(pts)), radius)
+        # The index works in its own copy: the caller's points keep their bits.
+        assert np.array_equal(pts.view(np.int64), before.view(np.int64))
         keys = _cell_keys(pts, cell, stride)
         order = np.argsort(keys, kind="stable")
         assert np.array_equal(got_order, order)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectorgraphs import poisson
+from sectorgraphs import poisson, theory
 from sectorgraphs.model import ModelParams
 from sectorgraphs.theory import (
     NoFocusingIndex,
@@ -17,7 +17,7 @@ from sectorgraphs.theory import (
     radius_for_mean_degree,
 )
 
-from oracles import poisson_tail_mp
+from oracles import poisson_tail_mp, scan_focusing_index, scan_max_degree_law
 
 
 class TestMeanDegree:
@@ -254,6 +254,48 @@ class TestMaxDegreeLaw:
         pairs = {m: law[m] + law.get(m + 1, 0.0) for m in law}
         assert max(pairs, key=pairs.get) == 9
         assert pairs[9] == pytest.approx(0.810, abs=5e-4)
+
+
+class TestBoundedSearch:
+    """The doubling search and bisection find the ``j`` and the law's first
+    key that a scan from 1 finds, so every result keeps its bits."""
+
+    @staticmethod
+    def _check(n, v, mu):
+        if n * (1.0 - v) > 1.0:
+            assert focusing_index(n, v, mu) == scan_focusing_index(n, v, mu)
+        try:
+            r = radius_for_mean_degree(n, 2 * math.pi, v, 0.0, mu)
+        except RadiusOutOfRange:
+            return
+        params = ModelParams(n=n, alpha=2 * math.pi, r=r, v=v, q=0.0)
+        law, want = max_degree_law(params), scan_max_degree_law(params)
+        assert list(law.items()) == list(want.items())
+
+    @pytest.mark.parametrize("n", [3, 10, 100, 10**3, 10**4, 10**6, 10**8])
+    @pytest.mark.parametrize("v", [0.0, 0.1, 0.5, 0.9])
+    def test_matches_linear_scan(self, n, v):
+        for mu in (1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 17.0, 60.0):
+            self._check(n, v, mu)
+
+    @pytest.mark.parametrize("n, v", [(3, 0.0), (10**3, 0.0), (10**4, 0.1), (10**6, 0.5), (10**8, 0.9)])
+    def test_matches_linear_scan_at_large_mean(self, n, v):
+        # A scan at mu = 300 takes about 0.08 s per point, so fewer points.
+        self._check(n, v, 300.0)
+
+    def test_large_mean_takes_few_tails(self, monkeypatch):
+        # At (n, mu) = (10^5, 1131) a scan from 1 takes 1277 tails to find
+        # j, and 1250 before the law's first key; doubling to 2048 and
+        # bisecting take about 2 * log2(2048).
+        calls = []
+        tail = theory._tail
+        monkeypatch.setattr(theory, "_tail", lambda mu, j: calls.append(j) or tail(mu, j))
+        assert focusing_index(10**5, 0.1, 1131.0) == (1277, 1277)
+        assert len(calls) <= 2 * 11 + 2
+        calls.clear()
+        law = max_degree_law(ModelParams(n=10**5, alpha=math.pi, r=0.1, v=0.1, q=0.2))
+        assert min(law) == 1250
+        assert len(calls) <= 2 * 11 + 1 + len(law)
 
 
 class TestNonFiniteInput:
