@@ -36,8 +36,6 @@ from .config import (
 from .degree_sets import DegreeSet
 from .harness import (
     TrialOptions,
-    TrialRecord,
-    compare,
     int_hist,
     run_trials,
     sweep as run_sweep,
@@ -45,7 +43,6 @@ from .harness import (
     write_trials_csv,
 )
 from .theory import (
-    FocusingPrediction,
     NoFocusingIndex,
     RadiusOutOfRange,
     TWO_POINT_CONVENTION,
@@ -124,26 +121,6 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _selftest_records(pred: FocusingPrediction, trials: int) -> list[TrialRecord]:
-    """Records drawn exactly from the predicted two-point law (rounded)."""
-    n_low = round(trials * pred.p_km1)
-    records = []
-    for t in range(trials):
-        value = pred.k - 1 if t < n_low else pred.k
-        records.append(
-            TrialRecord(
-                trial_index=t,
-                seed=0,
-                realized_count=0,
-                alive_count=0,
-                max_out=value,
-                max_in=value,
-                empty=False,
-            )
-        )
-    return records
-
-
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     validate_config(cfg)
     if args.override_k is not None and args.override_k < 1:
@@ -152,25 +129,20 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     pred = predict(params0, k=args.override_k)
     out = _out_dir(cfg)
     reports = {}
-    if args.selftest:
-        records = _selftest_records(pred, cfg.trials)
-        reports["selftest"] = compare(records, pred, cfg.slack, params=params0, sides=cfg.sides())
-        write_trials_csv(records, out / "trials.csv")
-    else:
-        single = len(cfg.modes()) == 1
-        for mode in cfg.modes():
-            params = resolve_params(cfg, mode)
-            report, records = run_verify(
-                params,
-                cfg.trials,
-                slack=cfg.slack,
-                parallelism=cfg.parallelism,
-                sides=cfg.sides(),
-                prediction=pred,
-            )
-            reports[mode] = report
-            name = "trials.csv" if single else f"trials_{mode}.csv"
-            write_trials_csv(records, out / name)
+    single = len(cfg.modes()) == 1
+    for mode in cfg.modes():
+        params = resolve_params(cfg, mode)
+        report, records = run_verify(
+            params,
+            cfg.trials,
+            slack=cfg.slack,
+            parallelism=cfg.parallelism,
+            sides=cfg.sides(),
+            prediction=pred,
+        )
+        reports[mode] = report
+        name = "trials.csv" if single else f"trials_{mode}.csv"
+        write_trials_csv(records, out / name)
     _persist(cfg, out, {"prediction": pred, "reports": reports})
     all_pass = all(rep.overall_pass for rep in reports.values())
     for label, rep in reports.items():
@@ -309,7 +281,6 @@ def _build_parser() -> _Parser:
     for name, run in (("predict", cmd_predict), ("simulate", cmd_simulate), ("verify", cmd_verify),
                       ("bound", cmd_bound), ("sweep", cmd_sweep)):
         sub.add_parser(name, parents=[common]).set_defaults(run=run)
-    sub.choices["verify"].add_argument("--selftest", action="store_true")
     sub.choices["verify"].add_argument("--override-k", dest="override_k", type=int)
     sub.choices["bound"].add_argument("--with-empirical", dest="with_empirical", action="store_true")
     return parser
@@ -341,10 +312,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 1
-    except TruncationBudgetExceeded as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except FloatingPointError as exc:
+    except (TruncationBudgetExceeded, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -12,6 +12,7 @@ import ctypes
 import math
 import time
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -154,11 +155,6 @@ def _keep_heap() -> None:
         pass
 
 
-def _worker(args) -> TrialRecord:
-    params, trial_index, options = args
-    return run_one_trial(params, trial_index, options)
-
-
 def run_trials(
     params: ModelParams,
     trials: int,
@@ -183,10 +179,10 @@ def run_trials(
     # ``predict`` in a fresh interpreter (2-vCPU VM).
     from concurrent.futures import ProcessPoolExecutor
 
-    jobs = ((params, t, options) for t in range(trials))
     chunk = max(1, trials // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers, initializer=_keep_heap) as pool:
-        return list(pool.map(_worker, jobs, chunksize=chunk))
+        return list(pool.map(run_one_trial, repeat(params, trials), range(trials),
+                             repeat(options, trials), chunksize=chunk))
 
 
 def clopper_pearson(successes: int, trials: int, level: float = CI_LEVEL) -> tuple[float, float]:

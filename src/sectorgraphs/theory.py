@@ -93,8 +93,8 @@ def focusing_index(n: int, v: float, mu: float) -> tuple[int, int]:
 
     ``j`` is the smallest integer with ``n * tail(j) <= 1/(1-v)`` (it exists
     and is >= 1 when ``n*(1-v) > 1`` since ``tail(0) = 1``); ``k = j-1``
-    when ``(1-v)*n*tail(j) <= sqrt(tail(j)/tail(j-1))``, else ``k = j``.
-    Exact threshold equality keeps ``k = j-1``.
+    when ``j > 1`` and ``(1-v)*n*tail(j) <= sqrt(tail(j)/tail(j-1))``, else
+    ``k = j``, so ``k >= 1``. Exact threshold equality keeps ``k = j-1``.
     """
     if not n * (1.0 - v) > 1.0:
         raise NoFocusingIndex(f"n*(1-v) = {n * (1.0 - v):.6g} must exceed 1")
@@ -103,7 +103,7 @@ def focusing_index(n: int, v: float, mu: float) -> tuple[int, int]:
     bound = 1.0 / (1.0 - v)
     j = _first_index(lambda i: n * _tail(mu, i) <= bound)
     xi_j, xi_prev = _tail(mu, j), _tail(mu, j - 1)
-    k = j - 1 if (1.0 - v) * n * xi_j <= math.sqrt(xi_j / xi_prev) else j
+    k = j - 1 if j > 1 and (1.0 - v) * n * xi_j <= math.sqrt(xi_j / xi_prev) else j
     return j, k
 
 

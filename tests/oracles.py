@@ -59,7 +59,7 @@ def scan_focusing_index(n: int, v: float, mu: float) -> tuple[int, int]:
         if n * xi_j <= bound:
             break
         xi_prev = xi_j
-    k = j - 1 if (1.0 - v) * n * xi_j <= math.sqrt(xi_j / xi_prev) else j
+    k = j - 1 if j > 1 and (1.0 - v) * n * xi_j <= math.sqrt(xi_j / xi_prev) else j
     return j, k
 
 

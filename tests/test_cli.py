@@ -204,6 +204,7 @@ class TestPredict:
             ([], "the following arguments are required: command"),
             (["frobnicate"], "invalid choice"),
             (["predict", "--n"], "argument --n: expected one argument"),
+            (["verify", "--selftest"], "unrecognized arguments: --selftest"),
         ],
     )
     def test_argument_errors_exit_1(self, argv, message, capsys):
@@ -363,14 +364,6 @@ class TestSimulate:
 
 
 class TestVerify:
-    def test_selftest_passes(self, tmp_path, capsys):
-        rc = run_cli(
-            "verify", "--selftest", "--n", "10000", "--alpha", "pi",
-            "--mu-target", "1", "--trials", "2000", "--out", str(tmp_path),
-        )
-        assert rc == 0
-        assert "PASS" in capsys.readouterr().out
-
     def test_wrong_k_override_fails_with_2(self, tmp_path, capsys):
         rc = run_cli(
             "verify", "--n", "500", "--alpha", "pi", "--mu-target", "1",

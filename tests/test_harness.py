@@ -81,8 +81,8 @@ class TestRunTrials:
             def __exit__(self, *exc):
                 pass
 
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         params = _params(n=200)

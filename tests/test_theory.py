@@ -116,6 +116,14 @@ class TestFocusingIndex:
         # xi(1) = 1 - exp(-0.5); 2*xi(1) = 0.78694 > sqrt(xi1) = 0.62727.
         assert focusing_index(2, 0.0, 0.5) == (1, 1)
 
+    def test_index_one_keeps_k_at_one(self):
+        # 1.5*xi(1) = 0.59020 <= sqrt(xi1/xi0) = 0.62727 would step k down
+        # to 0; the law's mass at a maximum of 0 is exp(-a_1) instead.
+        assert focusing_index(3, 0.5, 0.5) == (1, 1)
+        r = radius_for_mean_degree(3, math.pi, 0.5, 0.0, 0.5)
+        params = ModelParams(n=3, alpha=math.pi, r=r, v=0.5, q=0.0)
+        assert predict(params).p_km1 == max_degree_law(params)[0]
+
     def test_no_index_when_thinned_size_too_small(self):
         with pytest.raises(NoFocusingIndex):
             focusing_index(1, 0.0, 1.0)
