@@ -10,10 +10,15 @@ where ``I1`` integrates the product of two marginal count probabilities
 over ordered pairs of locations within distance ``3r``, and ``I2``
 integrates the joint probability that both locations' counts land in
 ``A``. The two counts share the Poisson points of the overlap region and
-each gains the mutual-arc indicator of the other location, so the joint
-probability is evaluated exactly from the three-piece area decomposition
-of the two regions (out side: the two sectors; in side: the two disks,
-counted by the orientation-thinned process of intensity ``lam * alpha/2pi``).
+each gains the mutual-arc indicator of the other location; the joint
+probability comes from the three-piece area decomposition of the two
+regions (out side: the two sectors; in side: the two disks, counted by the
+orientation-thinned process of intensity ``lam * alpha/2pi``). It is exact
+only on the out side with ``q = 0``: the shared count is thinned once by
+``(1-q)``, and on the in side a lens point counts as covering both
+locations. For a monotone ``A`` (``tail:k``, ``set:0``) the bound stays
+valid by Chebyshev's association inequality, only loose; no such ordering
+is shown for other sets (ROADMAP item 1).
 
 The region areas are exact (``geometry.intersection_areas``), and every
 Poisson probability, the truncation test included, comes from

@@ -3,8 +3,8 @@
 Commands: ``predict``, ``simulate``, ``verify``, ``bound``, ``sweep``.
 Exit codes: 0 success / verification PASS, 1 configuration or I/O error,
 2 verification FAIL, 3 numeric failure. Configuration errors are
-``ConfigError``, ``RadiusOutOfRange`` and ``NoFocusingIndex``; any other
-exception is a bug and propagates.
+``ConfigError`` and ``NoFocusingIndex``; any other exception is a bug and
+propagates.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .harness import (
 )
 from .theory import (
     NoFocusingIndex,
-    RadiusOutOfRange,
     TWO_POINT_CONVENTION,
     max_degree_law,
     predict,
@@ -125,20 +124,15 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     validate_config(cfg)
     if args.override_k is not None and args.override_k < 1:
         raise ConfigError(f"override_k: must be at least 1, got {args.override_k}")
-    params0 = resolve_params(cfg, cfg.modes()[0])
-    pred = predict(params0, k=args.override_k)
+    params = {mode: resolve_params(cfg, mode) for mode in cfg.modes()}
+    pred = predict(params[cfg.modes()[0]], k=args.override_k)
     out = _out_dir(cfg)
     reports = {}
-    single = len(cfg.modes()) == 1
-    for mode in cfg.modes():
-        params = resolve_params(cfg, mode)
+    single = len(params) == 1
+    for mode, p in params.items():
         report, records = run_verify(
-            params,
-            cfg.trials,
-            slack=cfg.slack,
-            parallelism=cfg.parallelism,
-            sides=cfg.sides(),
-            prediction=pred,
+            p, cfg.trials, slack=cfg.slack, parallelism=cfg.parallelism,
+            sides=cfg.sides(), prediction=pred,
         )
         reports[mode] = report
         name = "trials.csv" if single else f"trials_{mode}.csv"
@@ -200,15 +194,15 @@ def cmd_bound(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not cfg.n_grid:
         raise ConfigError("n_grid: must be nonempty for sweep")
-    # A sweep never runs ``cfg.n``; its largest run is ``max(n_grid)``.
-    largest = dataclasses.replace(cfg, n=max(cfg.n_grid))
-    validate_config(largest, need_radius=False)
     if cfg.mode == "both":
         raise ConfigError("mode: sweep needs a single mode")
     if (cfg.mu_target is None) == (not cfg.r_grid):
         raise ConfigError("sweep needs exactly one of 'mu_target' or 'r_grid'")
     if cfg.r_grid and len(cfg.r_grid) != len(cfg.n_grid):
         raise ConfigError("r_grid: must give one radius per n_grid entry")
+    # A sweep never reads ``cfg.n`` or ``cfg.r``; its largest run is ``max(n_grid)``.
+    largest = dataclasses.replace(cfg, n=max(cfg.n_grid), r=cfg.r_grid[0] if cfg.r_grid else None)
+    validate_config(largest)
     base = resolve_params(dataclasses.replace(largest, r=0.01, mu_target=None), cfg.mode)
     points = run_sweep(
         base,
@@ -306,7 +300,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(_config_from_args(args), args)
-    except (ConfigError, RadiusOutOfRange, NoFocusingIndex) as exc:
+    except (ConfigError, NoFocusingIndex) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .degree_sets import DegreeSet
 from .model import MODES, SIDES, ModelParams
@@ -159,15 +159,17 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def validate_config(cfg: RunConfig, need_radius: bool = True) -> None:
-    """Field-specific validation; raises ConfigError naming the field.
+def validate_config(cfg: RunConfig) -> None:
+    """Field-specific validation of the run settings; raises ConfigError
+    naming the field. The model's own fields are checked where
+    ``resolve_params`` builds ``ModelParams``.
 
     An accepted config replays from its ``serialize_config`` text: ``out``
     may hold no ``#`` (the file's comment mark), no line break and no
     leading or trailing whitespace, which the file's parser would cut or
     strip.
     """
-    if need_radius and (cfg.r is None) == (cfg.mu_target is None):
+    if (cfg.r is None) == (cfg.mu_target is None):
         raise ConfigError("exactly one of 'r' and 'mu_target' must be provided")
     if cfg.mu_target is not None and not cfg.mu_target > 0:
         raise ConfigError("mu_target: must be > 0")
@@ -201,31 +203,19 @@ def validate_config(cfg: RunConfig, need_radius: bool = True) -> None:
             DegreeSet.parse(descriptor)
         except ValueError as exc:
             raise ConfigError(f"a_sets: {exc}") from exc
-    probe = cfg.r if cfg.r is not None else 0.01
-    try:
-        ModelParams(
-            n=cfg.n,
-            alpha=cfg.alpha,
-            r=probe,
-            v=cfg.v,
-            q=cfg.q,
-            mode="binomial",
-            master_seed=cfg.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def resolve_params(cfg: RunConfig, mode: str) -> ModelParams:
-    """Build ModelParams, deriving the radius from ``mu_target`` if needed."""
-    if cfg.r is not None:
-        r = cfg.r
-    else:
-        r = radius_for_mean_degree(cfg.n, cfg.alpha, cfg.v, cfg.q, cfg.mu_target)
+    """Build ModelParams, deriving the radius from ``mu_target`` only after
+    the model's checks pass on a stand-in. A ``ValueError`` becomes a ``ConfigError``."""
     try:
-        return ModelParams(
-            n=cfg.n, alpha=cfg.alpha, r=r, v=cfg.v, q=cfg.q, mode=mode,
-            master_seed=cfg.seed,
+        params = ModelParams(
+            n=cfg.n, alpha=cfg.alpha, r=0.25 if cfg.r is None else cfg.r, v=cfg.v,
+            q=cfg.q, mode=mode, master_seed=cfg.seed,
         )
+        if cfg.r is None:
+            r = radius_for_mean_degree(cfg.n, cfg.alpha, cfg.v, cfg.q, cfg.mu_target)
+            params = replace(params, r=r)
+        return params
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -4,7 +4,7 @@ All geometry lives in ``Q = [0, 1]^2`` with the Euclidean norm. A sector is
 the set of points within ``radius`` of its apex whose displacement angle,
 measured anticlockwise from horizontal, falls in the half-open arc
 ``[elevation, elevation + central_angle)`` taken mod ``2*pi``. The apex
-itself is excluded.
+itself is excluded. Elevations outside ``[0, 2*pi]`` raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def points_in_sector(
     points with ``0 < d2 <= radius**2``, and not at all for the full disk.
     """
     delta = np.asarray(points, dtype=float) - np.asarray(apex_xy, dtype=float)
-    dx, dy, elev = np.broadcast_arrays(delta[..., 0], delta[..., 1], elevation)
+    dx, dy, elev = np.broadcast_arrays(delta[..., 0], delta[..., 1], _check_elevation(elevation))
     d2 = dx**2 + dy**2
     inside = np.asarray((d2 > 0.0) & (d2 <= radius * radius))  # an array even for one point
     if central_angle < TWO_PI:
@@ -276,7 +276,7 @@ def clipped_sector_areas(
     ``intersection_areas``.
     """
     apex = np.asarray(apex_xy, dtype=float)
-    elev = np.broadcast_to(np.asarray(elevation, dtype=float), apex.shape[:1])
+    elev = np.broadcast_to(_check_elevation(elevation), apex.shape[:1])
     areas = np.full(apex.shape[0], 0.5 * central_angle * radius * radius)
     clipped = ~np.all((apex >= radius) & (apex <= 1.0 - radius), axis=1)
     if clipped.any():
@@ -375,7 +375,7 @@ def ordered_pairs_within(
     uses ``(-dx, -dy)``, which IEEE subtraction makes exact.
     """
     keys, order, stride, _ = build_index(points, ids, radius)
-    theta = np.asarray(orientations, dtype=float)
+    theta = _check_elevation(orientations)
     if len(theta) != len(points):
         raise ValueError(f"{len(theta)} orientations for {len(points)} points")
     st = theta[order]

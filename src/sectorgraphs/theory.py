@@ -34,7 +34,7 @@ class RadiusOutOfRange(ValueError):
 
 
 class NoFocusingIndex(ValueError):
-    """n*(1-v) <= 1 (or NaN): no index j with n*tail(j) <= 1/(1-v) and tail(j-1) above it."""
+    """No two-point law at these parameters: n*(1-v) <= 1, or a mean degree not in (0, inf)."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def focusing_index(n: int, v: float, mu: float) -> tuple[int, int]:
     if not n * (1.0 - v) > 1.0:
         raise NoFocusingIndex(f"n*(1-v) = {n * (1.0 - v):.6g} must exceed 1")
     if not 0.0 < mu < math.inf:
-        raise ValueError("mu must be positive and finite")
+        raise NoFocusingIndex(f"mean degree {mu:.6g} must be positive and finite")
     bound = 1.0 / (1.0 - v)
     j = _first_index(lambda i: n * _tail(mu, i) <= bound)
     xi_j, xi_prev = _tail(mu, j), _tail(mu, j - 1)

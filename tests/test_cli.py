@@ -14,6 +14,7 @@ from sectorgraphs.config import (
     RunConfig,
     parse_alpha,
     parse_config_text,
+    resolve_params,
     serialize_config,
     validate_config,
 )
@@ -77,7 +78,11 @@ class TestConfig:
 
     def test_field_specific_messages(self):
         with pytest.raises(ConfigError, match="alpha"):
-            validate_config(RunConfig(r=0.1, alpha=3 * math.pi))
+            resolve_params(RunConfig(r=0.1, alpha=3 * math.pi), "binomial")
+        # The model's fields are checked before a radius is derived from them.
+        for field, value in (("alpha", 0.0), ("v", 1.0), ("n", 0)):
+            with pytest.raises(ConfigError, match=f"^{field} must"):
+                resolve_params(RunConfig(mu_target=1.0, **{field: value}), "binomial")
         with pytest.raises(ConfigError, match="trials"):
             validate_config(RunConfig(r=0.1, trials=0))
         with pytest.raises(ConfigError, match="a_sets"):
@@ -89,11 +94,11 @@ class TestConfig:
     def test_grid_entries_rejected(self):
         for n_grid in ((0,), (100, -1)):
             with pytest.raises(ConfigError, match="n_grid"):
-                validate_config(RunConfig(mu_target=1.0, n_grid=n_grid), need_radius=False)
+                validate_config(RunConfig(mu_target=1.0, n_grid=n_grid))
         for r_grid in ((0.0,), (0.1, 0.5), (0.6,), (-0.1,)):
             with pytest.raises(ConfigError, match="r_grid"):
-                validate_config(RunConfig(n_grid=(100,), r_grid=r_grid), need_radius=False)
-        validate_config(RunConfig(n_grid=(1, 100), r_grid=(1e-9, 0.49)), need_radius=False)
+                validate_config(RunConfig(r=0.1, n_grid=(100,), r_grid=r_grid))
+        validate_config(RunConfig(r=0.1, n_grid=(1, 100), r_grid=(1e-9, 0.49)))
 
     def test_negative_tail_rejected(self):
         with pytest.raises(ValueError, match="tail:-1"):
@@ -191,6 +196,7 @@ class TestPredict:
             (["--mu-target", "1", "--parallelism", "0"], "parallelism: must be >= 1"),
             (["--mu-target", "1", "--trunc-cap", "1"], "trunc_cap: must lie in (0, 1)"),
             (["--mu-target", "5e-324"], "r must lie in (0, 0.5)"),  # the radius underflows to 0
+            (["--r", "1e-200"], "mean degree"),  # the mean degree underflows to 0
         ],
     )
     def test_user_input_errors_exit_1(self, args, message, capsys):
@@ -611,6 +617,17 @@ class TestSweep:
         assert rc == 2
         assert "sweep: 1 of 1 points failed" in capsys.readouterr().err
         assert (tmp_path / "summary.csv").read_text().splitlines()[1].endswith(",FAIL")
+
+    def test_zero_mean_degree_point_errors_and_the_rest_run(self, tmp_path, capsys):
+        # At r = 1e-200 the mean degree underflows to 0: no two-point law.
+        rc = run_cli(
+            "sweep", "--n-grid", "1000,2000", "--r-grid", "1e-200,0.05",
+            "--trials", "20", "--slack", "1", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        rows = (tmp_path / "summary.csv").read_text().splitlines()
+        assert rows[1].startswith("1000,,,,,,,,ERROR:") and "mean degree" in rows[1]
+        assert rows[2].startswith("2000,0.05,") and rows[2].endswith(",PASS")
 
     def test_empty_grid_exits_1(self, capsys):
         rc = run_cli("sweep", "--alpha", "pi", "--mu-target", "1")

@@ -175,6 +175,16 @@ class TestAngleInArc:
             ordered_pairs_within(pts, np.arange(2), np.array([bad, 0.0]), 0.1, math.pi)
         with pytest.raises(ValueError, match="elevation"):
             intersection_areas([(pts[:1], np.array([bad]), 1.0)], 0.1)
+        # Checked even where no point reaches the arc test and no row is clipped.
+        far = np.array([[0.1, 0.1], [0.9, 0.9]])
+        with pytest.raises(ValueError, match="elevation"):
+            points_in_sector((0.5, 0.5), bad, math.pi, 0.1, (0.9, 0.9))
+        with pytest.raises(ValueError, match="elevation"):
+            points_in_sector((0.5, 0.5), bad, TWO_PI, 0.1, (0.55, 0.55))
+        with pytest.raises(ValueError, match="elevation"):
+            clipped_sector_areas(np.array([[0.5, 0.5]]), np.array([bad]), math.pi, 0.1)
+        with pytest.raises(ValueError, match="elevation"):
+            ordered_pairs_within(far, np.arange(2), np.array([bad, 0.0]), 0.1, math.pi)
 
     def test_accepts_domain_ends(self):
         pts = np.array([[0.5, 0.5], [0.52, 0.5]])
